@@ -19,14 +19,15 @@ bench:
 # Bench artifacts go to a scratch directory so repo-root BENCH_<date>.json
 # files stop churning in every PR; the committed comparison point is
 # benchmarks/baseline.json (refresh it with `make bench-baseline`), and the
-# canonical trajectory feed is benchmarks/results/ (committed snapshots,
-# published here and by the CI bench-smoke job).
+# canonical trajectory feed is benchmarks/results/.  `repro bench` only
+# publishes there when asked (--publish-dir), as this target does.
 bench-smoke:
 	rm -rf .bench-smoke
 	PYTHONPATH=src $(PYTHON) -m repro bench --smoke \
 		--out-dir .bench-smoke --runs-dir .bench-smoke/runs \
 		--publish-dir benchmarks/results
-	$(PYTHON) tools/check_bench_json.py .bench-smoke/BENCH_*.json
+	$(PYTHON) tools/check_bench_json.py .bench-smoke/BENCH_*.json \
+		benchmarks/results/BENCH_*.json
 	$(PYTHON) tools/check_trace_json.py .bench-smoke/runs/*/trace.json
 	$(PYTHON) tools/check_events_jsonl.py .bench-smoke/runs/*/events.jsonl
 	rm -rf .bench-smoke
@@ -38,8 +39,7 @@ bench-smoke:
 bench-baseline:
 	rm -rf .bench-baseline
 	PYTHONPATH=src $(PYTHON) -m repro bench --smoke --repeat 5 \
-		--out-dir .bench-baseline --runs-dir .bench-baseline/runs \
-		--no-publish
+		--out-dir .bench-baseline --runs-dir .bench-baseline/runs
 	$(PYTHON) tools/check_bench_json.py .bench-baseline/BENCH_*.json
 	cp .bench-baseline/BENCH_*.json benchmarks/baseline.json
 	rm -rf .bench-baseline
@@ -50,8 +50,7 @@ bench-baseline:
 perf-gate:
 	rm -rf .perf-gate
 	PYTHONPATH=src $(PYTHON) -m repro bench --smoke --repeat 5 \
-		--out-dir .perf-gate --runs-dir .perf-gate/runs \
-		--no-publish
+		--out-dir .perf-gate --runs-dir .perf-gate/runs
 	$(PYTHON) tools/bench_diff.py benchmarks/baseline.json \
 		.perf-gate/BENCH_*.json --tolerance 0.25
 	rm -rf .perf-gate
@@ -69,7 +68,7 @@ plan-gate:
 		--scenario engine-planner --scenario engine-equijoin \
 		--scenario engine-spatial --scenario engine-chain \
 		--out-dir .plan-gate --runs-dir .plan-gate/runs \
-		--no-bench-file --no-publish
+		--no-bench-file
 	PYTHONPATH=src $(PYTHON) -m repro explain --scenario engine-planner \
 		--json > .plan-gate/explain.json
 	$(PYTHON) tools/check_plan_quality.py --validate \
@@ -87,7 +86,7 @@ plan-baseline:
 		--scenario engine-planner --scenario engine-equijoin \
 		--scenario engine-spatial --scenario engine-chain \
 		--out-dir .plan-baseline --runs-dir .plan-baseline/runs \
-		--no-bench-file --no-publish
+		--no-bench-file
 	$(PYTHON) tools/check_plan_quality.py \
 		--write-baseline benchmarks/plan_baseline.json \
 		.plan-baseline/runs/*/plans.jsonl
@@ -107,21 +106,23 @@ profile-smoke:
 # The chaos bench must exit 1 (scenarios fail after retry) without ever
 # printing a raw traceback, and its failure records must validate.
 chaos-smoke:
+	rm -rf .chaos-smoke && mkdir -p .chaos-smoke
 	PYTHONPATH=src $(PYTHON) -m pytest tests/runtime/ -q
 	@for seed in 0 1 2; do \
 		echo "== chaos seed $$seed"; \
 		PYTHONPATH=src $(PYTHON) -m repro bench --smoke \
-			--scenario storage-paging --no-bench-file \
-			--runs-dir .chaos-runs \
-			--no-publish \
+			--scenario storage-paging \
+			--out-dir .chaos-smoke/seed$$seed \
+			--runs-dir .chaos-smoke/seed$$seed/runs \
 			--fault-seed $$seed --fault-rate 1.0 \
-			2> .chaos-stderr.txt; \
+			2> .chaos-smoke/stderr.txt; \
 		status=$$?; \
-		cat .chaos-stderr.txt; \
+		cat .chaos-smoke/stderr.txt; \
 		test $$status -eq 1 || exit 1; \
-		grep -q Traceback .chaos-stderr.txt && exit 1 || true; \
+		grep -q Traceback .chaos-smoke/stderr.txt && exit 1 || true; \
 	done
-	rm -rf .chaos-runs .chaos-stderr.txt
+	$(PYTHON) tools/check_bench_json.py .chaos-smoke/seed*/BENCH_*.json
+	rm -rf .chaos-smoke
 
 # Cross-run report smoke: three seeded smoke benches into a scratch runs
 # dir, a trend query over them, and the HTML dashboard — with every
@@ -133,10 +134,11 @@ report-smoke:
 		PYTHONPATH=src $(PYTHON) -m repro bench --smoke \
 			--scenario solver-exact --scenario engine-equijoin \
 			--seed $$seed --runs-dir .report-smoke/runs \
-			--no-bench-file --no-publish || exit 1; \
+			--no-bench-file || exit 1; \
 		sleep 1; \
 	done
 	$(PYTHON) tools/check_events_jsonl.py .report-smoke/runs/*/events.jsonl
+	PYTHONPATH=src $(PYTHON) -m repro runs index --runs-dir .report-smoke/runs
 	PYTHONPATH=src $(PYTHON) -m repro runs list --runs-dir .report-smoke/runs
 	PYTHONPATH=src $(PYTHON) -m repro runs trend --scenario solver-exact \
 		--runs-dir .report-smoke/runs
@@ -158,8 +160,7 @@ parallel-smoke:
 		PYTHONPATH=src $(PYTHON) -m repro bench --smoke \
 			--scenario solver-batch --jobs $$jobs \
 			--out-dir .parallel-smoke/$$leg \
-			--runs-dir .parallel-smoke/$$leg/runs \
-			--no-publish || exit 1; \
+			--runs-dir .parallel-smoke/$$leg/runs || exit 1; \
 	done
 	@for leg in warm1 warm2; do \
 		echo "== solver-batch --jobs 4 --cache ($$leg)"; \
@@ -167,8 +168,7 @@ parallel-smoke:
 			--scenario solver-batch --jobs 4 \
 			--cache .parallel-smoke/solve-cache.db \
 			--out-dir .parallel-smoke/$$leg \
-			--runs-dir .parallel-smoke/$$leg/runs \
-			--no-publish || exit 1; \
+			--runs-dir .parallel-smoke/$$leg/runs || exit 1; \
 	done
 	$(PYTHON) tools/check_events_jsonl.py .parallel-smoke/*/runs/*/events.jsonl
 	$(PYTHON) tools/check_parallel_smoke.py .parallel-smoke
@@ -223,8 +223,7 @@ wcoj-smoke:
 		tests/joins/test_properties_multiway.py -q
 	PYTHONPATH=src $(PYTHON) -m repro bench --smoke \
 		--scenario wcoj-triangle --scenario wcoj-4cycle \
-		--out-dir .wcoj-smoke --runs-dir .wcoj-smoke/runs \
-		--no-publish
+		--out-dir .wcoj-smoke --runs-dir .wcoj-smoke/runs
 	$(PYTHON) tools/check_wcoj_smoke.py .wcoj-smoke/BENCH_*.json
 	rm -rf .wcoj-smoke
 
@@ -248,6 +247,7 @@ check: test bench examples docs
 clean:
 	rm -rf .pytest_cache .bench-smoke .bench-baseline .perf-gate \
 		.plan-gate .plan-baseline .report-smoke .parallel-smoke \
-		.serve-smoke .crash-smoke .telemetry-smoke .solve-cache.db \
+		.serve-smoke .crash-smoke .telemetry-smoke .wcoj-smoke \
+		.chaos-smoke .profile-smoke-trace.json .solve-cache.db \
 		src/repro.egg-info
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -390,6 +390,7 @@ def _cmd_multiway(args: argparse.Namespace) -> int:
 def _cmd_explain(args: argparse.Namespace) -> int:
     import json as _json
 
+    from repro import obs
     from repro.obs import planquality as obs_plans
 
     if args.scenario is not None:
@@ -402,16 +403,10 @@ def _cmd_explain(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        was_enabled = obs_plans.is_enabled()
-        obs_plans.reset()
-        obs_plans.enable()
-        try:
+        with obs.recording():
             SCENARIOS[args.scenario].run(BenchConfig(smoke=True, seed=args.seed))
-            records = list(obs_plans.records())
-        finally:
-            obs_plans.reset()
-            if not was_enabled:
-                obs_plans.disable()
+        records = obs_plans.records()
+        obs.reset()
         if args.json:
             document = {
                 "schema": obs_plans.PLAN_SCHEMA,
@@ -535,7 +530,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         harness = inject(
             FaultPlan(seed=args.fault_seed, rates={"*": args.fault_rate})
         )
-    publish_dir = None if args.no_publish else args.publish_dir
+    publish_dir = args.publish_dir
     try:
         with harness:
             report, run_dir, bench_path = run_bench(
@@ -574,25 +569,19 @@ DEFAULT_PROFILE_SCENARIO = "engine-equijoin"
 
 
 def _run_traced_workload(args: argparse.Namespace) -> list:
-    """Run the selected workload under enabled span/metric collection and
-    return the recorded spans (collection state is restored afterwards).
+    """Run the selected workload while recording and return the recorded
+    spans (the recording switch is restored afterwards).
 
     Workload selection, shared by ``profile`` and ``trace``: either a
     graph file solved with ``--method``, or one or more bench scenarios
     (default: the equijoin engine scenario, the same workload shape as
     ``examples/query_engine.py``).
     """
-    from repro.obs import metrics as obs_metrics
+    from repro import obs
     from repro.obs import trace as obs_trace
     from repro.obs.bench import SCENARIOS, BenchConfig
 
-    was_trace = obs_trace.is_enabled()
-    was_metrics = obs_metrics.is_enabled()
-    obs_trace.reset()
-    obs_metrics.reset()
-    obs_trace.enable()
-    obs_metrics.enable()
-    try:
+    with obs.recording():
         if args.graph:
             from repro.core.solvers.registry import solve
 
@@ -613,12 +602,7 @@ def _run_traced_workload(args: argparse.Namespace) -> list:
             for name in names:
                 with obs_trace.span(f"workload.{name}", smoke=args.smoke):
                     SCENARIOS[name].run(config)
-        return obs_trace.spans()
-    finally:
-        if not was_trace:
-            obs_trace.disable()
-        if not was_metrics:
-            obs_metrics.disable()
+    return obs_trace.spans()
 
 
 def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
@@ -643,8 +627,8 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
+    from repro import obs
     from repro.obs import profile as obs_profile
-    from repro.obs import trace as obs_trace
 
     try:
         spans = _run_traced_workload(args)
@@ -652,7 +636,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     result = obs_profile.profile_spans(spans)
-    obs_trace.reset()
+    obs.reset()
     if not result.rows or result.total_self_ns <= 0:
         print("error: no self time recorded (empty workload?)", file=sys.stderr)
         return 1
@@ -661,15 +645,15 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro import obs
     from repro.obs import export as obs_export
-    from repro.obs import trace as obs_trace
 
     try:
         spans = _run_traced_workload(args)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    obs_trace.reset()
+    obs.reset()
     output = args.output or obs_export.DEFAULT_FILENAMES[args.format]
     if args.format == "perfetto":
         # Self-check before writing: an exported trace that fails the
@@ -1121,9 +1105,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
+    from repro import obs
     from repro.obs import events as obs_events
-    from repro.obs import metrics as obs_metrics
-    from repro.obs import trace as obs_trace
     from repro.obs.telemetry import TelemetryWindow
     from repro.parallel.cache import SolveCache
     from repro.server.admission import AdmissionController
@@ -1147,12 +1130,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # A run directory makes the server an observed run: events.jsonl,
         # metrics.json, and trace.jsonl land there on shutdown,
         # registry-compatible (traces feed `repro runs trace-request`).
-        obs_metrics.reset()
-        obs_metrics.enable()
-        obs_events.reset()
-        obs_events.enable()
-        obs_trace.reset()
-        obs_trace.enable()
+        obs.reset()
+        obs.enable()
         from pathlib import Path
 
         obs_events.set_run_id(Path(args.run_dir).name)
@@ -1548,16 +1527,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--publish-dir",
-        default="benchmarks/results",
         help=(
-            "tracked perf-trajectory directory the canonical snapshot is "
-            "published to (default benchmarks/results)"
+            "also publish the canonical snapshot to this perf-trajectory "
+            "directory (the tracked feed is benchmarks/results); "
+            "default: publish nothing"
         ),
-    )
-    bench.add_argument(
-        "--no-publish",
-        action="store_true",
-        help="skip publishing the snapshot to the trajectory feed",
     )
     bench.add_argument(
         "--jobs",

@@ -24,6 +24,7 @@ from repro.core.scheme import PebblingScheme
 from repro.core.solvers.dfs_approx import component_tour_dfs
 from repro.core.tsp import edges_share_endpoint, tour_cost
 from repro.obs import metrics as obs_metrics
+from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
 from repro.runtime.budget import Budget
 
@@ -106,7 +107,7 @@ def solve_anneal(
             )
             flat.extend(tour)
             accepted_total += accepted
-    if obs_metrics.METRICS.enabled:
+    if obs_recorder.ON:
         obs_metrics.inc("solver.anneal.solves")
         obs_metrics.inc("solver.anneal.moves_accepted", accepted_total)
     scheme = PebblingScheme.from_edge_order(working, flat)

@@ -45,6 +45,7 @@ from repro.graphs.traversal import RootedTree, dfs_tree
 from repro.core.scheme import PebblingScheme
 from repro.core.tsp import reorder_paths_greedily, tour_from_paths
 from repro.obs import metrics as obs_metrics
+from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
 from repro.runtime.budget import Budget
 
@@ -204,7 +205,7 @@ def solve_dfs_approx(
             chunk_total += chunks
             mc = component.num_edges
             guarantee += mc + mc // 4
-    if obs_metrics.METRICS.enabled:
+    if obs_recorder.ON:
         obs_metrics.inc("solver.dfs_approx.solves")
         obs_metrics.inc("solver.dfs_approx.chunks", chunk_total)
     flat = [edge for tour in tours for edge in tour]

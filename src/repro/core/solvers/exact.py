@@ -36,6 +36,7 @@ from repro.core.solvers.equijoin import biclique_tour
 from repro.core.tsp import tour_cost, tour_from_paths
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
+from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
 from repro.runtime.budget import Budget
 
@@ -245,7 +246,7 @@ def minimum_path_partition(
     lower = search._partition_lb(search.full)
     for p in range(lower, search.n + 1):
         with obs_trace.span("solver.exact.level", paths=p):
-            if obs_events.EVENTS.enabled:
+            if obs_recorder.ON:
                 obs_events.emit(
                     obs_events.EVENT_SOLVER_PHASE,
                     phase="exact.deepening",
@@ -280,7 +281,7 @@ def optimal_component_tour(
         # One span per iterative-deepening level: the profile shows how
         # much of the exponential blow-up each extra path level costs.
         with obs_trace.span("solver.exact.level", paths=p):
-            if obs_events.EVENTS.enabled:
+            if obs_recorder.ON:
                 obs_events.emit(
                     obs_events.EVENT_SOLVER_PHASE,
                     phase="exact.deepening",
@@ -288,7 +289,7 @@ def optimal_component_tour(
                 )
             partition = search.solve(p)
         if partition is not None:
-            if obs_metrics.METRICS.enabled:
+            if obs_recorder.ON:
                 obs_metrics.inc("solver.exact.search_nodes", search.nodes_expanded)
                 obs_metrics.inc("solver.exact.pruned_branches", search.pruned)
                 obs_metrics.inc("solver.exact.bound_checks", search.bound_checks)
@@ -326,7 +327,7 @@ def solve_exact(
                 )
             tours.append(tour)
             total_nodes += nodes
-    if obs_metrics.METRICS.enabled:
+    if obs_recorder.ON:
         obs_metrics.inc("solver.exact.solves")
     flat = [edge for tour in tours for edge in tour]
     scheme = PebblingScheme.from_edge_order(working, flat)

@@ -22,6 +22,7 @@ from repro.graphs.components import betti_number
 from repro.graphs.line_graph import line_graph
 from repro.graphs.simple import Graph
 from repro.obs import metrics as obs_metrics
+from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
 from repro.runtime.budget import Budget
 
@@ -52,7 +53,7 @@ def held_karp_min_jumps(line: Graph, budget: Budget | None = None) -> int:
         # The DP table is allocated whole, so account for it up front —
         # a memo cap rejects the instance before the 2^n * n allocation.
         budget.charge_memo(size * n)
-    if obs_metrics.METRICS.enabled:
+    if obs_recorder.ON:
         obs_metrics.inc("solver.held_karp.memo_cells", size * n)
     # jumps[mask * n + last] = min jumps of a path over `mask` ending at `last`.
     with obs_trace.span("solver.held_karp.dp", cells=size * n):
@@ -100,7 +101,7 @@ def held_karp_effective_cost(graph: AnyGraph, budget: Budget | None = None) -> i
     line = line_graph(working)
     with obs_trace.span("solver.held_karp"):
         j_min = held_karp_min_jumps(line, budget=budget)
-    if obs_metrics.METRICS.enabled:
+    if obs_recorder.ON:
         obs_metrics.inc("solver.held_karp.solves")
         # 2^n * n DP cells relaxed — the TSP-relaxation work counter.
         obs_metrics.inc(

@@ -24,6 +24,7 @@ from repro.graphs.simple import Graph
 from repro.core.scheme import PebblingScheme
 from repro.core.tsp import edges_share_endpoint, tour_cost
 from repro.obs import metrics as obs_metrics
+from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
 from repro.runtime.budget import Budget
 
@@ -139,7 +140,7 @@ def polish_scheme(
         for index in sorted(by_component):
             flat.extend(improve_tour(by_component[index], budget=budget))
     improved = PebblingScheme.from_edge_order(working, flat)
-    if obs_metrics.METRICS.enabled:
+    if obs_recorder.ON:
         obs_metrics.inc("solver.polish.passes")
         obs_metrics.inc(
             "solver.polish.jumps_removed", scheme.jumps() - improved.jumps()

@@ -43,6 +43,7 @@ from repro.core.solvers.local_search import polish_scheme
 from repro.core.solvers.matching_stitch import solve_matching_stitch
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
+from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
 from repro.runtime.anytime import (
     DEGRADED_STATUSES,
@@ -112,7 +113,7 @@ def _status_of(exc: Exception) -> str:
 
 
 def _count_exhaustion(exc: Exception) -> None:
-    if not obs_metrics.METRICS.enabled:
+    if not obs_recorder.ON:
         return
     if _status_of(exc) == STATUS_TIMED_OUT:
         obs_metrics.inc("solver.deadline_exceeded")
@@ -124,9 +125,8 @@ def _count_degradation(src: str, dst: str, exc: Exception | None = None) -> None
     """Record one degradation-ladder step: a counter for the metrics
     snapshot plus a structured ``ladder.degraded`` event carrying the
     triggering status, so anytime behaviour is greppable per run."""
-    if obs_metrics.METRICS.enabled:
+    if obs_recorder.ON:
         obs_metrics.inc(f"solver.degraded.{src}_to_{dst}")
-    if obs_events.EVENTS.enabled:
         obs_events.emit(
             obs_events.EVENT_LADDER_DEGRADED,
             src=src,
@@ -254,10 +254,10 @@ def solve(graph: AnyGraph, method: str = "auto", **options) -> SolveResult:
         hit, token = cache.consult(graph, method, solver_options)
         if hit is not None:
             return hit
-    if obs_metrics.METRICS.enabled:
+    if obs_recorder.ON:
         obs_metrics.inc(f"solver.method.{method}")
     with obs_trace.span("solver.solve", method=method):
-        if obs_events.EVENTS.enabled:
+        if obs_recorder.ON:
             obs_events.emit(
                 obs_events.EVENT_SOLVER_PHASE, phase="solve", method=method
             )

@@ -26,6 +26,7 @@ from repro.engine.query import JoinQuery
 from repro.errors import PredicateError, RelationError
 from repro.joins.predicates import JoinPredicate
 from repro.obs import metrics as obs_metrics
+from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
 from repro.relations.relation import Relation
 
@@ -116,7 +117,7 @@ def execute_chain(chain: ChainQuery, with_trace: bool = True) -> ChainResult:
             prefix_rows_by_value = next_prefixes
             if not prefix_rows_by_value:
                 break
-    if obs_metrics.METRICS.enabled:
+    if obs_recorder.ON:
         obs_metrics.inc("executor.chains")
         obs_metrics.inc("executor.chain_stages", len(stages))
 

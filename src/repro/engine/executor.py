@@ -28,6 +28,7 @@ from repro.joins.trace import TraceReport, trace_report
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import planquality
+from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
 from repro.runtime.budget import Budget, current_budget
 
@@ -118,14 +119,10 @@ def _close_feedback_loop(record: planquality.PlanRecord, actual: int) -> None:
     """Fill actuals on the plan record and surface misestimates."""
     record.actual_output = actual
     q_error = record.q_error
-    if q_error is None:
+    if q_error is None or not obs_recorder.ON:
         return
-    if obs_metrics.METRICS.enabled:
-        obs_metrics.observe("planner.q_error", q_error)
-    if (
-        q_error > planquality.MISESTIMATE_THRESHOLD
-        and obs_events.EVENTS.enabled
-    ):
+    obs_metrics.observe("planner.q_error", q_error)
+    if q_error > planquality.MISESTIMATE_THRESHOLD:
         obs_events.emit(
             obs_events.EVENT_PLANNER_MISESTIMATE,
             predicate=record.predicate,
@@ -134,8 +131,7 @@ def _close_feedback_loop(record: planquality.PlanRecord, actual: int) -> None:
             actual_output=actual,
             q_error=round(q_error, 4),
         )
-        if obs_metrics.METRICS.enabled:
-            obs_metrics.inc("planner.misestimates")
+        obs_metrics.inc("planner.misestimates")
 
 
 def execute(
@@ -191,7 +187,7 @@ def execute(
         if with_trace and under_pressure:
             # Shed the diagnostic trace rather than blow the deadline.
             with_trace = False
-            if obs_metrics.METRICS.enabled:
+            if obs_recorder.ON:
                 obs_metrics.inc("executor.trace_skipped")
         graph: BipartiteGraph | None = join_graph
         if with_trace:
@@ -216,7 +212,7 @@ def execute(
                             query.left, query.right, query.predicate
                         )
                     _shadow_execute(query, record, pairs, graph)
-        if obs_metrics.METRICS.enabled:
+        if obs_recorder.ON:
             obs_metrics.inc("executor.queries")
             obs_metrics.inc("executor.rows_emitted", len(rows))
             obs_metrics.observe("executor.output_size", len(pairs))

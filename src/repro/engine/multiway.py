@@ -37,6 +37,7 @@ from repro.joins.trace import MultiwayTraceReport, multiway_trace_report
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import planquality
+from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
 from repro.obs.planquality import CandidateRecord, PlanRecord
 from repro.runtime.budget import Budget, current_budget
@@ -92,17 +93,16 @@ def plan_multiway(
     with obs_trace.span("engine.plan_multiway", atoms=len(query.atoms)):
         if budget is not None and budget.under_pressure():
             chosen = _safe_default(query)
-            if obs_metrics.METRICS.enabled:
+            if obs_recorder.ON:
                 obs_metrics.inc("planner.deadline_pressure")
         else:
             chosen = _choose(query)
-    if obs_metrics.METRICS.enabled:
+    record = chosen.record
+    if obs_recorder.ON:
         obs_metrics.inc("planner.plans")
         obs_metrics.inc(f"planner.algorithm.{chosen.algorithm_name}")
-    record = chosen.record
-    if record is not None:
-        planquality.PLANS.record(record)
-        if obs_events.EVENTS.enabled:
+        if record is not None:
+            planquality.PLANS.record(record)
             obs_events.emit(
                 obs_events.EVENT_PLANNER_PLAN,
                 predicate=record.predicate,
@@ -233,7 +233,7 @@ def execute_multiway(
         under_pressure = budget is not None and budget.under_pressure()
         if with_trace and under_pressure:
             with_trace = False
-            if obs_metrics.METRICS.enabled:
+            if obs_recorder.ON:
                 obs_metrics.inc("executor.trace_skipped")
         trace = None
         if with_trace and len(query.atoms) >= 2:
@@ -242,7 +242,7 @@ def execute_multiway(
         agm = the_plan.agm if the_plan is not None and the_plan.agm >= 0 else agm_bound(query)
         if the_plan is not None and the_plan.record is not None:
             _close_feedback_loop(the_plan.record, result.output_size)
-        if obs_metrics.METRICS.enabled:
+        if obs_recorder.ON:
             obs_metrics.inc("executor.multiway_queries")
             obs_metrics.inc("executor.rows_emitted", result.output_size)
             obs_metrics.observe("executor.output_size", result.output_size)

@@ -43,6 +43,7 @@ from repro.joins.predicates import Equality, SetContainment, SpatialOverlap
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import planquality
+from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
 from repro.obs.planquality import CandidateRecord, PlanRecord
 from repro.relations.domains import Domain
@@ -115,26 +116,25 @@ def plan(query: JoinQuery, budget: Budget | None = None) -> Plan:
     missed deadline.
 
     Every plan carries a :class:`~repro.obs.planquality.PlanRecord`;
-    when the plan log (:mod:`repro.obs.planquality`) is enabled the
-    record is also appended there, and a ``planner.plan`` event is
-    emitted when the event log is on.
+    while observability records (:func:`repro.obs.enable`) the record is
+    also appended to the plan log (:mod:`repro.obs.planquality`) and a
+    ``planner.plan`` event is emitted.
     """
     if budget is None:
         budget = current_budget()
     with obs_trace.span("engine.plan"):
         if budget is not None and budget.under_pressure():
             chosen = _choose_safe_default(query)
-            if obs_metrics.METRICS.enabled:
+            if obs_recorder.ON:
                 obs_metrics.inc("planner.deadline_pressure")
         else:
             chosen = _choose(query)
-    if obs_metrics.METRICS.enabled:
+    record = chosen.record
+    if obs_recorder.ON:
         obs_metrics.inc("planner.plans")
         obs_metrics.inc(f"planner.algorithm.{chosen.algorithm_name}")
-    record = chosen.record
-    if record is not None:
-        planquality.PLANS.record(record)
-        if obs_events.EVENTS.enabled:
+        if record is not None:
+            planquality.PLANS.record(record)
             obs_events.emit(
                 obs_events.EVENT_PLANNER_PLAN,
                 predicate=record.predicate,

@@ -14,6 +14,7 @@ from typing import Any
 
 from repro.joins.predicates import JoinPredicate
 from repro.obs import metrics as obs_metrics
+from repro.obs import recorder as obs_recorder
 from repro.relations.domains import Domain
 from repro.relations.relation import Relation
 
@@ -107,7 +108,7 @@ def estimate_selectivity(
         hits = sum(
             1 for a in left_values for b in right_values if predicate.matches(a, b)
         )
-        if obs_metrics.METRICS.enabled:
+        if obs_recorder.ON:
             obs_metrics.inc("planner.selectivity.exact")
             obs_metrics.inc("planner.selectivity.pairs_evaluated", cross)
         return hits / cross
@@ -119,7 +120,7 @@ def estimate_selectivity(
         b = right_values[rng.randrange(n_right)]
         if predicate.matches(a, b):
             hits += 1
-    if obs_metrics.METRICS.enabled:
+    if obs_recorder.ON:
         obs_metrics.inc("planner.selectivity.sampled")
         obs_metrics.inc("planner.selectivity.pairs_evaluated", pairs)
     return hits / pairs

@@ -18,6 +18,7 @@ from repro.errors import SchemeError
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.components import betti_number
 from repro.obs import metrics as obs_metrics
+from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
 from repro.relations.relation import TupleRef
 from repro.core.costs import effective_cost_bounds
@@ -81,7 +82,7 @@ def trace_report(
     with obs_trace.span("joins.trace_report", algorithm=algorithm):
         scheme = scheme_from_output(working, output)
         lower, upper = effective_cost_bounds(working)
-    if obs_metrics.METRICS.enabled:
+    if obs_recorder.ON:
         obs_metrics.inc("joins.trace_reports")
         obs_metrics.inc("joins.trace.jumps", scheme.jumps())
     return TraceReport(

@@ -1,7 +1,10 @@
 """Observability: spans, metrics, run manifests, and the bench harness.
 
-The measurement layer the perf roadmap hangs off.  Four pieces:
+The measurement layer the perf roadmap hangs off.  Its modules:
 
+- :mod:`repro.obs.recorder` — the one on/off switch every collector
+  reads; :func:`enable`, :func:`disable`, :func:`is_enabled`,
+  :func:`reset`, and :func:`recording` here are its only controls;
 - :mod:`repro.obs.trace` — hierarchical spans (context-manager API,
   ``perf_counter_ns`` durations, process-global collector), including
   detached spans for async servers and cross-process span adoption;
@@ -17,6 +20,8 @@ The measurement layer the perf roadmap hangs off.  Four pieces:
 - :mod:`repro.obs.events` — the structured event log (``events.jsonl``:
   budget trips, ladder degradations, solver phases, injected faults),
   seq-ordered and span/run correlated;
+- :mod:`repro.obs.planquality` — structured EXPLAIN records
+  (``plans.jsonl``) and per-predicate estimate calibration;
 - :mod:`repro.obs.manifest` — per-run artifact directories
   (``runs/{run_id}/manifest.json`` + ``metrics.json`` + ``report.md``)
   carrying git SHA, seed, and python version, written atomically;
@@ -33,10 +38,11 @@ The measurement layer the perf roadmap hangs off.  Four pieces:
   (the ``repro trace`` command), plus per-request trace assembly from
   a server run's ``trace.jsonl`` (``repro runs trace-request``).
 
-All collectors are **off by default**, and every instrumentation hook in
-the solvers, engine, joins, and storage layers is behaviour-neutral: with
-observability disabled the hooks cost one attribute check, and with it
-enabled they record without perturbing any result (property-tested).
+Spans, metrics, events, and plan records share that one switch, which is
+**off by default**.  Every instrumentation hook in the solvers, engine,
+joins, and storage layers is behaviour-neutral: with observability
+disabled the hooks cost one attribute check, and with it enabled they
+record without perturbing any result (property-tested).
 
 >>> from repro import obs
 >>> obs.enable()
@@ -46,6 +52,9 @@ enabled they record without perturbing any result (property-tested).
 1
 >>> obs.disable(); obs.reset()
 """
+
+import contextlib
+from typing import Iterator
 
 from repro.obs.metrics import (
     METRICS,
@@ -65,35 +74,48 @@ from repro.obs.export import export_trace, write_trace
 # re-exported: binding it here would shadow the ``repro.obs.profile``
 # module attribute.  Call ``repro.obs.profile.profile()`` instead.
 from repro.obs.profile import Profile, ProfileRow, profile_spans
-from repro.obs import events as _events
-from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
+from repro.obs import recorder as _recorder
+from repro.obs.events import EVENTS as _EVENTS
+from repro.obs.planquality import PLANS as _PLANS
 
 
 def enable() -> None:
-    """Turn on span, metric, and event collection (process-global)."""
-    _trace.enable()
-    _metrics.enable()
-    _events.enable()
+    """Turn on span, metric, event, and plan recording (process-global)."""
+    _recorder.ON = True
 
 
 def disable() -> None:
-    """Turn off span, metric, and event collection."""
-    _trace.disable()
-    _metrics.disable()
-    _events.disable()
+    """Turn every collector off; recorded data is kept."""
+    _recorder.ON = False
 
 
 def is_enabled() -> bool:
-    """True if any collector is currently recording."""
-    return _trace.is_enabled() or _metrics.is_enabled() or _events.is_enabled()
+    """True while the collectors are recording."""
+    return _recorder.ON
 
 
 def reset() -> None:
-    """Drop all recorded spans, metrics, and events (flags unchanged)."""
-    _trace.reset()
-    _metrics.reset()
-    _events.reset()
+    """Drop all recorded spans, metrics, events, and plans (switch unchanged)."""
+    TRACER.reset()
+    METRICS.reset()
+    _EVENTS.reset()
+    _PLANS.reset()
+
+
+@contextlib.contextmanager
+def recording() -> Iterator[None]:
+    """Record from a clean slate for the ``with`` body.
+
+    Resets every collector and turns recording on; on exit the switch
+    returns to its prior state while the recorded data stays readable.
+    """
+    was_on = _recorder.ON
+    reset()
+    enable()
+    try:
+        yield
+    finally:
+        _recorder.ON = was_on
 
 
 __all__ = [
@@ -114,6 +136,7 @@ __all__ = [
     "is_enabled",
     "observe",
     "profile_spans",
+    "recording",
     "reset",
     "set_gauge",
     "snapshot",

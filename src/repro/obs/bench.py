@@ -23,12 +23,14 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable
 
+from repro import obs
 from repro.analysis.report import Table
 from repro.obs import events as obs_events
 from repro.obs import export as obs_export
 from repro.obs import manifest as obs_manifest
 from repro.obs import metrics as obs_metrics
 from repro.obs import planquality as obs_plans
+from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
 from repro.runtime.budget import Budget, use_budget
 
@@ -39,11 +41,6 @@ BENCH_SCHEMA = "repro-bench/v2"
 # One wall-clock budget per scenario attempt, installed ambiently so the
 # solving stack degrades (it is cooperative, not preemptive).
 DEFAULT_SCENARIO_DEADLINE = 60.0
-
-# The tracked perf-trajectory feed: every bench run publishes its
-# canonical BENCH_<date>.json here (in addition to the scratch out_dir),
-# so the longitudinal record survives scratch-dir cleanup.
-DEFAULT_PUBLISH_DIR = "benchmarks/results"
 
 
 @dataclass(frozen=True)
@@ -574,7 +571,7 @@ def _run_one(
         attempts = attempt
         wall.clear()
         budget = Budget(deadline=deadline) if deadline is not None else None
-        if obs_events.EVENTS.enabled:
+        if obs_recorder.ON:
             obs_events.emit(
                 obs_events.EVENT_SCENARIO_START,
                 scenario=name,
@@ -592,7 +589,7 @@ def _run_one(
                         wall.append(time.perf_counter_ns() - start)
             status = "ok"
             error = None
-            if obs_events.EVENTS.enabled:
+            if obs_recorder.ON:
                 obs_events.emit(
                     obs_events.EVENT_SCENARIO_END,
                     scenario=name,
@@ -603,9 +600,8 @@ def _run_one(
         except Exception as exc:  # noqa: BLE001 — bench must survive anything
             status = "failed"
             error = f"{type(exc).__name__}: {exc}"
-            if obs_metrics.METRICS.enabled:
+            if obs_recorder.ON:
                 obs_metrics.inc(f"bench.scenario_failed.{name}")
-            if obs_events.EVENTS.enabled:
                 obs_events.emit(
                     obs_events.EVENT_SCENARIO_END,
                     scenario=name,
@@ -646,14 +642,15 @@ def run_bench(
 ) -> tuple[BenchReport, Path, Path | None]:
     """Run the harness end to end.
 
-    Enables span/metric/event collection for the duration, runs the
-    selected scenarios, writes ``runs/{run_id}/`` artifacts (manifest,
-    metrics, tables, ``bench.json``, ``events.jsonl``, traces), and —
+    Records spans, metrics, events, and plans for the duration
+    (:func:`repro.obs.recording`), runs the selected scenarios, writes
+    ``runs/{run_id}/`` artifacts (manifest, metrics, tables,
+    ``bench.json``, ``events.jsonl``, ``plans.jsonl``, traces), and —
     unless ``out_dir`` is None — a top-level ``BENCH_<date>.json``.
-    With ``publish_dir`` set, the same snapshot is also published there:
-    the CLI points it at the tracked ``benchmarks/results/`` directory so
-    the perf-trajectory feed is never empty.  Returns
-    ``(report, run_dir, bench_path)``.
+    Only with ``publish_dir`` set is the same snapshot also published
+    there (``repro bench --publish-dir benchmarks/results`` extends the
+    tracked perf-trajectory feed).  Returns ``(report, run_dir,
+    bench_path)``.
 
     ``jobs`` flows to batch scenarios (``solver-batch``) through
     :class:`BenchConfig`; scenario *results* are jobs-invariant, only
@@ -683,47 +680,28 @@ def run_bench(
     the_run_id = run_id or obs_manifest.make_run_id("bench", seed)
     report = BenchReport(run_id=the_run_id, mode=mode, seed=seed, jobs=jobs)
 
-    was_trace = obs_trace.is_enabled()
-    was_metrics = obs_metrics.is_enabled()
-    was_events = obs_events.is_enabled()
-    was_plans = obs_plans.is_enabled()
-    obs_trace.reset()
-    obs_metrics.reset()
-    obs_events.reset()
-    obs_plans.reset()
-    obs_trace.enable()
-    obs_metrics.enable()
-    obs_events.enable()
-    obs_plans.enable()
-    obs_events.set_run_id(the_run_id)
-    obs_events.emit(
-        obs_events.EVENT_RUN_START, mode=mode, seed=seed, scenarios=chosen
-    )
-    try:
-        with contextlib.ExitStack() as stack:
-            if cache_path is not None:
-                from repro.parallel.cache import SolveCache, use_cache
-
-                solve_cache = SolveCache(path=cache_path)
-                stack.callback(solve_cache.close)
-                stack.enter_context(use_cache(solve_cache))
-            for name in chosen:
-                report.scenarios.append(
-                    _run_one(name, config, repeats, deadline=scenario_deadline)
-                )
-    finally:
+    with obs.recording():
+        obs_events.set_run_id(the_run_id)
         obs_events.emit(
-            obs_events.EVENT_RUN_END,
-            failed=[s.name for s in report.failed],
+            obs_events.EVENT_RUN_START, mode=mode, seed=seed, scenarios=chosen
         )
-        if not was_trace:
-            obs_trace.disable()
-        if not was_metrics:
-            obs_metrics.disable()
-        if not was_events:
-            obs_events.disable()
-        if not was_plans:
-            obs_plans.disable()
+        try:
+            with contextlib.ExitStack() as stack:
+                if cache_path is not None:
+                    from repro.parallel.cache import SolveCache, use_cache
+
+                    solve_cache = SolveCache(path=cache_path)
+                    stack.callback(solve_cache.close)
+                    stack.enter_context(use_cache(solve_cache))
+                for name in chosen:
+                    report.scenarios.append(
+                        _run_one(name, config, repeats, deadline=scenario_deadline)
+                    )
+        finally:
+            obs_events.emit(
+                obs_events.EVENT_RUN_END,
+                failed=[s.name for s in report.failed],
+            )
 
     run_dir = obs_manifest.write_run(
         the_run_id,
@@ -744,7 +722,7 @@ def run_bench(
     # Every planned query's structured EXPLAIN record, estimate-vs-actual
     # included — the run registry aggregates it into calibration tables.
     if obs_plans.records():
-        obs_plans.write_plans(run_dir / "plans.jsonl")
+        obs_manifest.write_atomic(run_dir / "plans.jsonl", obs_plans.to_jsonl())
     # Every bench run leaves an inspectable trace next to its manifest:
     # open trace.json in Perfetto, feed trace.folded to flamegraph.pl.
     obs_export.write_trace(run_dir / "trace.json", "perfetto")

@@ -20,27 +20,28 @@ object per line), so anytime/robustness behaviour is greppable::
     grep '"name": "ladder.degraded"' runs/*/events.jsonl
 
 Like the tracer and metrics registry, the log is **off by default**: an
-emission site costs one attribute check while disabled, and recording is
-behaviour-neutral (property-tested alongside the other collectors).
+emission site costs one attribute check while recording is off
+(:mod:`repro.obs.recorder`), and recording is behaviour-neutral
+(property-tested alongside the other collectors).
 
+>>> from repro import obs
 >>> from repro.obs import events
->>> events.reset(); events.enable()
+>>> obs.reset(); obs.enable()
 >>> events.emit(events.EVENT_BUDGET_TRIPPED, reason="deadline")
 >>> [(e.seq, e.name) for e in events.events()]
 [(0, 'budget.tripped')]
->>> events.disable(); events.reset()
+>>> obs.disable(); obs.reset()
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any
 
+from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
 
 EVENTS_SCHEMA = "repro-events/v1"
@@ -137,7 +138,6 @@ class EventLog:
     """
 
     def __init__(self) -> None:
-        self.enabled = False
         self.run_id: str | None = None
         self._events: list[Event] = []
         self._next_seq = 0
@@ -147,14 +147,8 @@ class EventLog:
         self._lock = threading.Lock()
 
     # -- control -------------------------------------------------------
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
     def reset(self) -> None:
-        """Drop all events and the run binding (enabled flag unchanged)."""
+        """Drop all events and the run binding (the switch is unchanged)."""
         self._events = []
         self._next_seq = 0
         self.run_id = None
@@ -165,13 +159,13 @@ class EventLog:
 
     # -- recording -----------------------------------------------------
     def emit(self, name: str, **attrs: Any) -> None:
-        """Append one event; a single attribute check while disabled.
+        """Append one event; a single attribute check while recording is off.
 
         ``span_id`` is filled from the innermost open span of the global
         tracer, so an event inside ``with span("solver.solve"): ...``
         correlates to that span's ``index`` in the exported trace.
         """
-        if not self.enabled:
+        if not obs_recorder.ON:
             return
         open_span = obs_trace.current_span()
         with self._lock:
@@ -205,25 +199,6 @@ class EventLog:
 EVENTS = EventLog()
 
 
-def enable() -> None:
-    """Turn event recording on (module-level singleton)."""
-    EVENTS.enable()
-
-
-def disable() -> None:
-    """Turn event recording off; already-recorded events are kept."""
-    EVENTS.disable()
-
-
-def is_enabled() -> bool:
-    return EVENTS.enabled
-
-
-def reset() -> None:
-    """Drop all events recorded so far (and the bound run id)."""
-    EVENTS.reset()
-
-
 def set_run_id(run_id: str | None) -> None:
     """Bind subsequent global-log events to ``run_id``."""
     EVENTS.set_run_id(run_id)
@@ -242,23 +217,6 @@ def events() -> list[Event]:
 def to_jsonl() -> str:
     """The global log as JSONL (one object per line)."""
     return EVENTS.to_jsonl()
-
-
-def write_events(path: str | Path) -> Path:
-    """Write the global log as ``events.jsonl`` via fsync-and-rename, so
-    a crash mid-write never leaves a truncated log; returns the path."""
-    target = Path(path)
-    tmp = target.with_name(target.name + ".tmp")
-    try:
-        with open(tmp, "w") as handle:
-            handle.write(EVENTS.to_jsonl())
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, target)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    return target
 
 
 # ---------------------------------------------------------------------------

@@ -246,5 +246,5 @@ def write_run(
             json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n",
         )
     if obs_events.events():
-        obs_events.write_events(run_dir / "events.jsonl")
+        write_atomic(run_dir / "events.jsonl", obs_events.to_jsonl())
     return run_dir

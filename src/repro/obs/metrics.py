@@ -21,21 +21,22 @@ bucket counts, like everything else, are a pure function of the observed
 values.
 
 Snapshots carry a ``schema`` version (``repro-metrics/v2``) and the
-registry's ``enabled`` state so downstream tools can validate what they
-read; v1 snapshots (no schema field) predate both.
+recording switch's state (``enabled``) so downstream tools can validate
+what they read; v1 snapshots (no schema field) predate both.
 
-Like tracing, the registry starts disabled and every recording call
-returns after one attribute check, so hooks are safe to leave in hot
-paths permanently.
+Like tracing, recording starts off (:mod:`repro.obs.recorder`) and every
+recording call returns after one attribute check, so hooks are safe to
+leave in hot paths permanently.
 
+>>> from repro import obs
 >>> from repro.obs import metrics
->>> metrics.reset(); metrics.enable()
+>>> obs.reset(); obs.enable()
 >>> metrics.inc("solver.calls")
 >>> metrics.inc("solver.search_nodes", 41)
 >>> metrics.observe("engine.output_size", 7)
 >>> metrics.snapshot()["counters"]["solver.search_nodes"]
 41
->>> metrics.disable(); metrics.reset()
+>>> obs.disable(); obs.reset()
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ import math
 import threading
 from dataclasses import dataclass, field
 from typing import Any
+
+from repro.obs import recorder as obs_recorder
 
 SNAPSHOT_SCHEMA = "repro-metrics/v2"
 
@@ -146,14 +149,13 @@ class HistogramSummary:
 
 
 class MetricsRegistry:
-    """A registry of named metrics with an on/off switch.
+    """A registry of named metrics, recording while the shared switch is on.
 
     Normal use goes through the module-level singleton ``METRICS`` and
     the helper functions below; tests may instantiate private registries.
     """
 
     def __init__(self) -> None:
-        self.enabled = False
         self._counters: dict[str, int] = {}
         self._gauges: dict[str, float] = {}
         self._histograms: dict[str, HistogramSummary] = {}
@@ -163,14 +165,8 @@ class MetricsRegistry:
         self._lock = threading.Lock()
 
     # -- control -------------------------------------------------------
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
     def reset(self) -> None:
-        """Drop all recorded values (does not change the enabled flag)."""
+        """Drop all recorded values (the switch is unchanged)."""
         self._counters = {}
         self._gauges = {}
         self._histograms = {}
@@ -178,21 +174,21 @@ class MetricsRegistry:
     # -- recording -----------------------------------------------------
     def inc(self, name: str, amount: int = 1) -> None:
         """Add ``amount`` to the named counter (created at 0)."""
-        if not self.enabled:
+        if not obs_recorder.ON:
             return
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + amount
 
     def set_gauge(self, name: str, value: float) -> None:
         """Set the named gauge to ``value`` (last write wins)."""
-        if not self.enabled:
+        if not obs_recorder.ON:
             return
         with self._lock:
             self._gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
         """Fold ``value`` into the named histogram summary."""
-        if not self.enabled:
+        if not obs_recorder.ON:
             return
         with self._lock:
             histogram = self._histograms.get(name)
@@ -213,13 +209,13 @@ class MetricsRegistry:
     def snapshot(self) -> dict[str, Any]:
         """A plain-dict view with deterministically sorted keys.
 
-        Carries the schema version and the registry's enabled state so
+        Carries the schema version and the recording switch's state so
         downstream consumers can tell "disabled, hence empty" apart from
         "enabled but nothing recorded" and validate what they parse.
         """
         return {
             "schema": SNAPSHOT_SCHEMA,
-            "enabled": self.enabled,
+            "enabled": obs_recorder.ON,
             "counters": {k: self._counters[k] for k in sorted(self._counters)},
             "gauges": {k: self._gauges[k] for k in sorted(self._gauges)},
             "histograms": {
@@ -237,25 +233,6 @@ class MetricsRegistry:
 
 
 METRICS = MetricsRegistry()
-
-
-def enable() -> None:
-    """Turn metric recording on (module-level singleton)."""
-    METRICS.enable()
-
-
-def disable() -> None:
-    """Turn metric recording off; recorded values are kept."""
-    METRICS.disable()
-
-
-def is_enabled() -> bool:
-    return METRICS.enabled
-
-
-def reset() -> None:
-    """Drop all metrics recorded so far."""
-    METRICS.reset()
 
 
 def inc(name: str, amount: int = 1) -> None:

@@ -46,11 +46,11 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import threading
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any
+
+from repro.obs import recorder as obs_recorder
 
 PLAN_SCHEMA = "repro-plan/v1"
 
@@ -249,36 +249,29 @@ class PlanLog:
     """A process-global, append-only log of :class:`PlanRecord` objects.
 
     Mirrors :class:`repro.obs.events.EventLog`: off by default, one
-    attribute check per plan while disabled, serialized as
+    attribute check per plan while recording is off, serialized as
     ``plans.jsonl`` (one sorted-key JSON object per line) in each run
     directory.
     """
 
     def __init__(self) -> None:
-        self.enabled = False
         self._records: list[PlanRecord] = []
         self._lock = threading.Lock()
 
     # -- control -------------------------------------------------------
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
     def reset(self) -> None:
-        """Drop all records (enabled flag unchanged)."""
+        """Drop all records (the switch is unchanged)."""
         self._records = []
 
     # -- recording -----------------------------------------------------
     def record(self, record: PlanRecord) -> None:
-        """Append one record; a single attribute check while disabled.
+        """Append one record; a single attribute check while recording is off.
 
         Records are appended at *plan* time and completed in place by the
         executor (actuals, shadow costs), so a record serialized after
         execution carries the full estimate-vs-actual story.
         """
-        if not self.enabled:
+        if not obs_recorder.ON:
             return
         with self._lock:
             self._records.append(record)
@@ -299,25 +292,6 @@ class PlanLog:
 PLANS = PlanLog()
 
 
-def enable() -> None:
-    """Turn plan recording on (module-level singleton)."""
-    PLANS.enable()
-
-
-def disable() -> None:
-    """Turn plan recording off; already-recorded plans are kept."""
-    PLANS.disable()
-
-
-def is_enabled() -> bool:
-    return PLANS.enabled
-
-
-def reset() -> None:
-    """Drop all plan records recorded so far."""
-    PLANS.reset()
-
-
 def record(plan_record: PlanRecord) -> None:
     """Record one plan on the global log (near-free no-op when disabled)."""
     PLANS.record(plan_record)
@@ -331,23 +305,6 @@ def records() -> list[PlanRecord]:
 def to_jsonl() -> str:
     """The global log as JSONL (one object per line)."""
     return PLANS.to_jsonl()
-
-
-def write_plans(path: str | Path) -> Path:
-    """Write the global log as ``plans.jsonl`` via fsync-and-rename, so a
-    crash mid-write never leaves a truncated log; returns the path."""
-    target = Path(path)
-    tmp = target.with_name(target.name + ".tmp")
-    try:
-        with open(tmp, "w") as handle:
-            handle.write(PLANS.to_jsonl())
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, target)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    return target
 
 
 # ---------------------------------------------------------------------------

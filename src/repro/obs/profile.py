@@ -11,8 +11,9 @@ The aggregation is deterministic given the spans: rows are grouped by
 span name and ordered by descending self time with the name as
 tie-break, so two profiles of the same trace render identically.
 
+>>> from repro import obs
 >>> from repro.obs import trace, profile
->>> trace.reset(); trace.enable()
+>>> obs.reset(); obs.enable()
 >>> with trace.span("outer"):
 ...     with trace.span("inner"):
 ...         pass
@@ -21,7 +22,7 @@ tie-break, so two profiles of the same trace render identically.
 ['inner', 'outer']
 >>> p.total_self_ns == sum(s.duration_ns for s in trace.spans() if s.depth == 0)
 True
->>> trace.disable(); trace.reset()
+>>> obs.disable(); obs.reset()
 """
 
 from __future__ import annotations

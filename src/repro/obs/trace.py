@@ -9,10 +9,10 @@ ordered by start time.
 Design constraints (mirrored by :mod:`repro.obs.metrics`):
 
 - **zero dependencies** — standard library only, like the rest of the repo;
-- **off by default, near-zero overhead when off** — the process-global
-  tracer starts disabled and :func:`span` then returns a shared no-op
-  context manager after a single attribute check, so instrumentation can
-  stay in hot paths permanently;
+- **off by default, near-zero overhead when off** — the shared switch
+  (:mod:`repro.obs.recorder`) starts off and :func:`span` then returns a
+  shared no-op context manager after a single attribute check, so
+  instrumentation can stay in hot paths permanently;
 - **behaviour-neutral** — recording never touches random state or the
   objects under measurement (a property test asserts solver outputs are
   identical with tracing on and off).
@@ -21,14 +21,15 @@ Timing uses ``time.perf_counter_ns`` for durations (monotonic, ns
 resolution) and ``time.time`` for the wall-clock start of each span (so
 manifests can be correlated with external logs).
 
+>>> from repro import obs
 >>> from repro.obs import trace
->>> trace.reset(); trace.enable()
+>>> obs.reset(); obs.enable()
 >>> with trace.span("solve", method="exact"):
 ...     with trace.span("solve.component"):
 ...         pass
 >>> [(s.name, s.depth) for s in trace.spans()]
 [('solve', 0), ('solve.component', 1)]
->>> trace.disable(); trace.reset()
+>>> obs.disable(); obs.reset()
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from repro.obs import context as obs_context
+from repro.obs import recorder as obs_recorder
 
 
 @dataclass
@@ -127,11 +129,14 @@ class _ActiveSpan:
         if exc_type is not None:
             self.span.attrs["error"] = True
             self.span.attrs["error_type"] = exc_type.__name__
-        self.tracer._close(self.span)
+        self._end()
         return False
 
+    def _end(self) -> None:
+        self.tracer._close(self.span)
 
-class _DetachedActiveSpan:
+
+class _DetachedActiveSpan(_ActiveSpan):
     """Context manager recording a span that never joins the stack.
 
     The solve server opens one of these per request: the region is timed
@@ -142,30 +147,14 @@ class _DetachedActiveSpan:
     ``remote_parent``) instead of ``parent_index``.
     """
 
-    __slots__ = ("tracer", "span")
-
-    def __init__(self, tracer: Tracer, name: str, attrs: dict[str, Any]) -> None:
-        self.tracer = tracer
-        self.span = Span(
-            name=name,
-            index=-1,
-            parent_index=None,
-            depth=0,
-            start_unix=0.0,
-            start_ns=0,
-            attrs=attrs,
-        )
+    __slots__ = ()
 
     def __enter__(self) -> Span:
         self.tracer._open_detached(self.span)
         return self.span
 
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if exc_type is not None:
-            self.span.attrs["error"] = True
-            self.span.attrs["error_type"] = exc_type.__name__
+    def _end(self) -> None:
         self.span.end_ns = time.perf_counter_ns()
-        return False
 
 
 class Tracer:
@@ -173,24 +162,18 @@ class Tracer:
 
     All state lives on the instance so tests can build private tracers,
     but normal use goes through the module-level singleton ``TRACER`` and
-    the :func:`span` / :func:`enable` / :func:`disable` helpers.
+    the :func:`span` helper.  Recording follows the shared switch
+    (:mod:`repro.obs.recorder`).
     """
 
     def __init__(self) -> None:
-        self.enabled = False
         self._completed: list[Span] = []
         self._stack: list[Span] = []
         self._next_index = 0
 
     # -- control -------------------------------------------------------
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
     def reset(self) -> None:
-        """Drop all recorded spans (does not change the enabled flag)."""
+        """Drop all recorded spans (the switch is unchanged)."""
         self._completed = []
         self._stack = []
         self._next_index = 0
@@ -199,11 +182,11 @@ class Tracer:
     def span(self, name: str, **attrs: Any):
         """A context manager timing the ``with`` body as one span.
 
-        While the tracer is disabled this returns a shared no-op object,
+        While recording is off this returns a shared no-op object,
         so the cost of a disabled hook is one attribute check plus the
         (empty) keyword dict.
         """
-        if not self.enabled:
+        if not obs_recorder.ON:
             return _NULL_SPAN
         return _ActiveSpan(self, name, attrs)
 
@@ -215,7 +198,7 @@ class Tracer:
         unrelated requests.  Links to children go through the ambient
         trace context rather than the span stack.
         """
-        if not self.enabled:
+        if not obs_recorder.ON:
             return _NULL_SPAN
         return _DetachedActiveSpan(self, name, attrs)
 
@@ -271,13 +254,14 @@ class Tracer:
         shipment are remapped, and a shipped top-level span whose
         ``remote_parent`` names a span already recorded here (the
         dispatch span whose index the parent put in the task's
-        TraceContext) is attached as its child.  Worker clocks don't
+        TraceContext) is attached as its child; one with no link at all
+        nests under the innermost span open here.  Worker clocks don't
         share ``perf_counter_ns`` origins, so ``start_ns`` is
         re-derived from the span's wall-clock start against this
         process's current wall/perf pair — good to about a scheduling
         quantum, which is all cross-process timelines can promise.
         """
-        if not self.enabled or not shipped:
+        if not obs_recorder.ON or not shipped:
             return []
         now_unix = time.time()
         now_ns = time.perf_counter_ns()
@@ -322,6 +306,11 @@ class Tracer:
                 # Span.index doubles as position in _completed, so the
                 # remote parent resolves by direct lookup.
                 parent = self._completed[remote]
+            elif shipped_parent is None and remote is None and self._stack:
+                # No link at all: nest under the innermost open span, as
+                # the span would have if it had been recorded here.
+                parent = self._stack[-1]
+                span.trace_id = parent.trace_id
             if parent is not None:
                 span.parent_index = parent.index
                 span.depth = parent.depth + 1
@@ -364,30 +353,11 @@ class Tracer:
 TRACER = Tracer()
 
 
-def enable() -> None:
-    """Turn span recording on (module-level singleton)."""
-    TRACER.enable()
-
-
-def disable() -> None:
-    """Turn span recording off; already-recorded spans are kept."""
-    TRACER.disable()
-
-
-def is_enabled() -> bool:
-    return TRACER.enabled
-
-
-def reset() -> None:
-    """Drop all spans recorded so far."""
-    TRACER.reset()
-
-
 def span(name: str, **attrs: Any):
     """Time the ``with`` body as a span on the global tracer.
 
-    The instrumentation hooks throughout the repo call this; when tracing
-    is disabled (the default) it is a near-free no-op.
+    The instrumentation hooks throughout the repo call this; while
+    recording is off (the default) it is a near-free no-op.
     """
     return TRACER.span(name, **attrs)
 

@@ -45,6 +45,7 @@ from repro.core.solvers.registry import SolveResult
 from repro.errors import SchemeError
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
+from repro.obs import recorder as obs_recorder
 from repro.parallel.fingerprint import (
     AnyGraph,
     CanonicalForm,
@@ -281,10 +282,10 @@ class SQLiteCacheTier:
                     raise
                 delay = controller.next_delay(reason=type(exc).__name__)
                 if delay is None:
-                    if obs_metrics.METRICS.enabled:
+                    if obs_recorder.ON:
                         obs_metrics.inc("parallel.cache.locked_giveups")
                     return None, False
-                if obs_metrics.METRICS.enabled:
+                if obs_recorder.ON:
                     obs_metrics.inc("parallel.cache.locked_retries")
                 time.sleep(delay)
 
@@ -399,9 +400,8 @@ class SolveCache:
         if entry is None:
             with self._lock:
                 self.stats.misses += 1
-            if obs_metrics.METRICS.enabled:
+            if obs_recorder.ON:
                 obs_metrics.inc("parallel.cache.misses")
-            if obs_events.EVENTS.enabled:
                 obs_events.emit(
                     obs_events.EVENT_CACHE_MISS,
                     fingerprint=form.fingerprint[:12],
@@ -413,10 +413,9 @@ class SolveCache:
                 self.stats.memory_hits += 1
             else:
                 self.stats.persistent_hits += 1
-        if obs_metrics.METRICS.enabled:
+        if obs_recorder.ON:
             obs_metrics.inc("parallel.cache.hits")
             obs_metrics.inc(f"parallel.cache.hits.{tier}")
-        if obs_events.EVENTS.enabled:
             obs_events.emit(
                 obs_events.EVENT_CACHE_HIT,
                 fingerprint=form.fingerprint[:12],
@@ -436,7 +435,7 @@ class SolveCache:
             self.persistent.put(token.key, token.form.fingerprint, entry)
         with self._lock:
             self.stats.stores += 1
-        if obs_metrics.METRICS.enabled:
+        if obs_recorder.ON:
             obs_metrics.inc("parallel.cache.stores")
         return True
 

@@ -4,11 +4,13 @@ The observability collectors (:mod:`repro.obs.metrics`,
 :mod:`repro.obs.events`, :mod:`repro.obs.trace`) are **per-process
 globals**, so a solve running inside a ``ProcessPoolExecutor`` worker
 records into that worker's registries and the parent would see nothing.
-The contract here: each worker task starts from reset collectors, runs
-one component solve, then *snapshots and ships its counters and events
-back* in the task result; the parent merges them into its own registries
-(:func:`merge_observations`), so enabled-vs-disabled neutrality and the
-"counters tell the whole story" property survive the pool.
+The contract here: a task carries the parent's recording switch
+(:attr:`SolveTask.recording`); the worker starts from reset collectors,
+runs one component solve, then *snapshots and ships its counters, events
+and spans back* in the task result; the parent merges all three into its
+own collectors (:func:`merge_observations`), so enabled-vs-disabled
+neutrality and the "same answer, same account at any job count" property
+survive the pool.
 
 Worker hygiene on entry (:func:`solve_task`):
 
@@ -35,12 +37,14 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Any, Sequence
 
+from repro import obs
 from repro.core.solvers.registry import SolveResult
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.simple import Graph
 from repro.obs import context as obs_context
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
+from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
 from repro.obs.context import TraceContext
 from repro.runtime import faults as faults_mod
@@ -65,7 +69,8 @@ class SolveTask:
     ``crash`` is the deterministic chaos hook: a task marked in the
     *parent* (one seeded draw per dispatch, :func:`crash_draw`) kills its
     worker process on arrival, simulating an OOM-kill / segfault without
-    any real nondeterminism.
+    any real nondeterminism.  ``recording`` is the parent's obs switch
+    at dispatch: the worker records and ships observations iff it is set.
     """
 
     graph: AnyGraph
@@ -73,14 +78,11 @@ class SolveTask:
     options: dict[str, Any] = field(default_factory=dict)
     deadline: float | None = None
     memo_cap: int | None = None
-    metrics_enabled: bool = False
-    events_enabled: bool = False
+    recording: bool = False
     crash: bool = False
     # Request correlation: the originating request's TraceContext (its
-    # parent_span_id names the dispatch span in the parent process) and
-    # whether the worker should record + ship spans at all.
+    # parent_span_id names the dispatch span in the parent process).
     trace: TraceContext | None = None
-    trace_enabled: bool = False
 
 
 @dataclass(frozen=True)
@@ -112,21 +114,11 @@ def solve_task(task: SolveTask) -> TaskOutcome:
 
     _reset_ambient_cache()
     _BUDGET_STACK.clear()
-    obs_trace.reset()
-    if task.trace_enabled:
-        obs_trace.enable()
+    obs.reset()
+    if task.recording:
+        obs.enable()
     else:
-        obs_trace.disable()
-    obs_metrics.reset()
-    obs_events.reset()
-    if task.metrics_enabled:
-        obs_metrics.enable()
-    else:
-        obs_metrics.disable()
-    if task.events_enabled:
-        obs_events.enable()
-    else:
-        obs_events.disable()
+        obs.disable()
 
     # The ambient context makes every top-level span this worker records
     # carry the originating request's trace_id (and the parent-process
@@ -145,49 +137,42 @@ def solve_task(task: SolveTask) -> TaskOutcome:
         if token is not None:
             obs_context.deactivate(token)
 
-    counters: dict[str, int] = {}
-    shipped_events: tuple[tuple[str, dict[str, Any]], ...] = ()
-    shipped_spans: tuple[dict[str, Any], ...] = ()
-    if task.metrics_enabled:
-        counters = dict(obs_metrics.snapshot()["counters"])
-    if task.events_enabled:
-        shipped_events = tuple(
-            (event.name, dict(event.attrs)) for event in obs_events.events()
+    outcome = TaskOutcome(result=result, counters={}, events=())
+    if task.recording:
+        outcome = TaskOutcome(
+            result=result,
+            counters=dict(obs_metrics.snapshot()["counters"]),
+            events=tuple(
+                (event.name, dict(event.attrs)) for event in obs_events.events()
+            ),
+            spans=tuple(obs_trace.as_dicts()),
         )
-    if task.trace_enabled:
-        shipped_spans = tuple(obs_trace.as_dicts())
-    obs_metrics.reset()
-    obs_events.reset()
-    obs_trace.reset()
-    obs_trace.disable()
-    return TaskOutcome(
-        result=result,
-        counters=counters,
-        events=shipped_events,
-        spans=shipped_spans,
-    )
+    obs.reset()
+    obs.disable()
+    return outcome
 
 
 def merge_observations(outcome: TaskOutcome) -> None:
-    """Fold one worker's shipped counters and events into this process.
+    """Fold one worker's shipped counters, events and spans into this
+    process.
 
     Counters merge by summation (deterministic: sorted name order);
     events are re-emitted in their original worker order, restamped with
     the parent's ``seq`` / ``run_id`` / ``span_id`` — the worker's facts,
     the parent's timeline.  Shipped spans are adopted into the parent
     tracer (:meth:`repro.obs.trace.Tracer.adopt`) tagged with
-    ``origin="worker"``, already carrying the request's trace_id.
+    ``origin="worker"``, under the request's dispatch span or else the
+    innermost span open here.
     """
-    if obs_metrics.METRICS.enabled:
-        for name in sorted(outcome.counters):
-            obs_metrics.inc(name, outcome.counters[name])
-    if obs_events.EVENTS.enabled:
-        for name, attrs in outcome.events:
-            obs_events.emit(name, **attrs)
-    if obs_trace.TRACER.enabled and outcome.spans:
-        adopted = obs_trace.adopt(outcome.spans, origin="worker")
-        if adopted and obs_metrics.METRICS.enabled:
-            obs_metrics.inc("parallel.pool.spans_adopted", len(adopted))
+    if not obs_recorder.ON:
+        return
+    for name in sorted(outcome.counters):
+        obs_metrics.inc(name, outcome.counters[name])
+    for name, attrs in outcome.events:
+        obs_events.emit(name, **attrs)
+    adopted = obs_trace.adopt(outcome.spans, origin="worker")
+    if adopted:
+        obs_metrics.inc("parallel.pool.spans_adopted", len(adopted))
 
 
 def preferred_start_method() -> str:
@@ -297,7 +282,7 @@ def emit_task_event(
     name: str, key: str, method: str, jobs: int, **extra: Any
 ) -> None:
     """One ``pool.task_*`` event, keyed by fingerprint prefix."""
-    if obs_events.EVENTS.enabled:
+    if obs_recorder.ON:
         obs_events.emit(
             name,
             fingerprint=key.split(":", 1)[0][:12],
@@ -319,7 +304,7 @@ def crash_draw() -> bool:
     if plan is None or CRASH_SITE not in plan.rates:
         return False
     fired = plan.should_fail(CRASH_SITE)
-    if fired and obs_events.EVENTS.enabled:
+    if fired and obs_recorder.ON:
         obs_events.emit(
             obs_events.EVENT_FAULT_INJECTED,
             site=CRASH_SITE,
@@ -344,7 +329,7 @@ def _quarantine(task: SolveTask, key: str, jobs: int) -> TaskOutcome:
     from repro.parallel.cache import use_cache
     from repro.runtime.anytime import SolveProvenance
 
-    if obs_metrics.METRICS.enabled:
+    if obs_recorder.ON:
         obs_metrics.inc("parallel.pool.quarantines")
     emit_task_event(
         obs_events.EVENT_POOL_QUARANTINE, key, task.method, jobs
@@ -446,9 +431,8 @@ def dispatch_resilient(
             continue
         pool.heal(seen_generation)
         serial = True
-        if obs_metrics.METRICS.enabled:
+        if obs_recorder.ON:
             obs_metrics.inc("parallel.pool.worker_crashes")
-        if obs_events.EVENTS.enabled:
             obs_events.emit(
                 obs_events.EVENT_POOL_WORKER_CRASH,
                 lost_tasks=len(pending),

@@ -47,6 +47,7 @@ from repro.errors import SolverError
 from repro.graphs.components import component_vertex_sets
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
+from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
 from repro.parallel import pool as pool_mod
 from repro.parallel.cache import (
@@ -230,9 +231,7 @@ def _detect_skew(tasks: Sequence[tuple[str, AnyGraph]], jobs: int) -> None:
     counter record the shape, so sharded/skew-aware work has a baseline
     to beat.  Detection only — behaviour is unchanged.
     """
-    if len(tasks) < 2:
-        return
-    if not (obs_metrics.METRICS.enabled or obs_events.EVENTS.enabled):
+    if len(tasks) < 2 or not obs_recorder.ON:
         return
     sizes = [component.num_edges for _key, component in tasks]
     total = sum(sizes)
@@ -240,17 +239,15 @@ def _detect_skew(tasks: Sequence[tuple[str, AnyGraph]], jobs: int) -> None:
     if biggest * 2 <= total:
         return
     dominant_key = tasks[sizes.index(biggest)][0]
-    if obs_metrics.METRICS.enabled:
-        obs_metrics.inc("parallel.pool.skew")
-    if obs_events.EVENTS.enabled:
-        obs_events.emit(
-            obs_events.EVENT_POOL_SKEW,
-            fingerprint=dominant_key.split(":", 1)[0][:12],
-            edges=biggest,
-            total_edges=total,
-            tasks=len(tasks),
-            jobs=jobs,
-        )
+    obs_metrics.inc("parallel.pool.skew")
+    obs_events.emit(
+        obs_events.EVENT_POOL_SKEW,
+        fingerprint=dominant_key.split(":", 1)[0][:12],
+        edges=biggest,
+        total_edges=total,
+        tasks=len(tasks),
+        jobs=jobs,
+    )
 
 
 def _solve_many(
@@ -294,7 +291,7 @@ def _solve_many(
             pending[key] = component
         plans.append(keys)
 
-    if obs_metrics.METRICS.enabled:
+    if obs_recorder.ON:
         obs_metrics.inc("parallel.solve_many.calls")
         obs_metrics.inc("parallel.solve_many.graphs", len(graphs))
         obs_metrics.inc("parallel.solve_many.components", total_components)
@@ -307,7 +304,7 @@ def _solve_many(
         _detect_skew(tasks, jobs)
         if (pool is None and jobs == 1) or len(tasks) == 1:
             for key, component in tasks:
-                _emit_task_event(
+                pool_mod.emit_task_event(
                     obs_events.EVENT_POOL_TASK_START, key, method, jobs
                 )
                 # Mask the ambient cache: it was already consulted above,
@@ -321,7 +318,7 @@ def _solve_many(
                         **options,
                     )
                 solved[key] = result
-                _emit_task_event(
+                pool_mod.emit_task_event(
                     obs_events.EVENT_POOL_TASK_END, key, method, jobs,
                     status=result.status,
                 )
@@ -333,8 +330,7 @@ def _solve_many(
                     options=dict(options),
                     deadline=share,
                     memo_cap=memo_cap,
-                    metrics_enabled=obs_metrics.METRICS.enabled,
-                    events_enabled=obs_events.EVENTS.enabled,
+                    recording=obs_recorder.ON,
                 )
                 for _key, component in tasks
             ]
@@ -392,19 +388,6 @@ def rebind_result(
         return result
     rebound = decode_scheme(encode_scheme(result.scheme, source), target)
     return replace(result, scheme=rebound)
-
-
-def _emit_task_event(
-    name: str, key: str, method: str, jobs: int, **extra: Any
-) -> None:
-    if obs_events.EVENTS.enabled:
-        obs_events.emit(
-            name,
-            fingerprint=key.split(":", 1)[0][:12],
-            method=method,
-            jobs=jobs,
-            **extra,
-        )
 
 
 __all__ = [

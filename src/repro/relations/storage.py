@@ -22,6 +22,7 @@ from typing import Any
 from repro.errors import RelationError
 from repro.graphs.bipartite import BipartiteGraph
 from repro.obs import metrics as obs_metrics
+from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
 from repro.relations.relation import Relation, TupleRef
 from repro.core.scheme import PebblingScheme
@@ -90,7 +91,7 @@ def page_connection_graph(
                 ]
                 if any(joins(a, b) for a in left_values for b in right_values):
                     graph.add_edge(p, q)
-    if obs_metrics.METRICS.enabled:
+    if obs_recorder.ON:
         obs_metrics.inc("storage.page_graphs")
         obs_metrics.inc(
             "storage.page_pairs_checked", left.num_pages * right.num_pages
@@ -129,7 +130,7 @@ def schedule_report(graph: BipartiteGraph, scheme: PebblingScheme) -> FetchRepor
     scheme.validate(graph.without_isolated_vertices())
     m = graph.num_edges
     fetches = page_fetches_of_scheme(scheme)
-    if obs_metrics.METRICS.enabled:
+    if obs_recorder.ON:
         obs_metrics.inc("storage.schedules")
         obs_metrics.inc("storage.page_fetches", fetches)
     return FetchReport(

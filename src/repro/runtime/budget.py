@@ -27,6 +27,7 @@ from typing import Iterator
 
 from repro.errors import BudgetExhaustedError
 from repro.obs import events as obs_events
+from repro.obs import recorder as obs_recorder
 from repro.runtime.clock import MONOTONIC_CLOCK
 
 REASON_DEADLINE = "deadline"
@@ -114,7 +115,7 @@ class Budget:
         trips are greppable in ``events.jsonl`` — a no-op when the event
         log is disabled, like every observability hook."""
         self.exhausted_reason = reason
-        if obs_events.EVENTS.enabled:
+        if obs_recorder.ON:
             obs_events.emit(
                 obs_events.EVENT_BUDGET_TRIPPED,
                 reason=reason,

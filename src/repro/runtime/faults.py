@@ -27,6 +27,7 @@ from typing import Iterator, Mapping
 
 from repro.errors import InjectedFaultError
 from repro.obs import events as obs_events
+from repro.obs import recorder as obs_recorder
 from repro.runtime.budget import Budget
 
 
@@ -137,7 +138,7 @@ def maybe_fail(site: str) -> None:
         # Every injected fault leaves a correlated event, so chaos runs
         # can be replayed from events.jsonl (site + seed + call number
         # pins down the exact draw).
-        if obs_events.EVENTS.enabled:
+        if obs_recorder.ON:
             obs_events.emit(
                 obs_events.EVENT_FAULT_INJECTED,
                 site=site,

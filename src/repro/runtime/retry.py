@@ -38,6 +38,7 @@ from typing import Any, Callable
 
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
+from repro.obs import recorder as obs_recorder
 from repro.runtime.budget import Budget, current_budget
 from repro.runtime.clock import MONOTONIC_CLOCK
 
@@ -174,9 +175,8 @@ class RetryController:
             remaining = self.budget.remaining()
             if remaining is not None and delay >= remaining:
                 return self._give_up(GIVE_UP_DEADLINE, reason)
-        if obs_metrics.METRICS.enabled:
+        if obs_recorder.ON:
             obs_metrics.inc("runtime.retry.attempts")
-        if obs_events.EVENTS.enabled:
             obs_events.emit(
                 obs_events.EVENT_RETRY_ATTEMPT,
                 site=self.site,
@@ -189,9 +189,8 @@ class RetryController:
 
     def _give_up(self, why: str, reason: str) -> None:
         self.gave_up = why
-        if obs_metrics.METRICS.enabled:
+        if obs_recorder.ON:
             obs_metrics.inc("runtime.retry.give_ups")
-        if obs_events.EVENTS.enabled:
             obs_events.emit(
                 obs_events.EVENT_RETRY_GIVE_UP,
                 site=self.site,
@@ -279,7 +278,7 @@ class CircuitBreaker:
         if should_open:
             if self.state != BREAKER_OPEN:
                 self.opens += 1
-                if obs_metrics.METRICS.enabled:
+                if obs_recorder.ON:
                     obs_metrics.inc("runtime.breaker.opens")
             self.state = BREAKER_OPEN
             self._opened_at = self.clock.now()

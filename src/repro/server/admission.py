@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from repro.errors import ReproError
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
+from repro.obs import recorder as obs_recorder
 
 DEFAULT_MAX_QUEUE_DEPTH = 64
 DEFAULT_MAX_INFLIGHT_BYTES = 32 * 1024 * 1024
@@ -104,10 +105,9 @@ class AdmissionController:
             self.rejected_total += 1
             self.consecutive_rejections += 1
             hint = self.retry_after_ms()
-            if obs_metrics.METRICS.enabled:
+            if obs_recorder.ON:
                 obs_metrics.inc("server.rejected")
                 obs_metrics.inc(f"server.rejected.{reason}")
-            if obs_events.EVENTS.enabled:
                 obs_events.emit(
                     obs_events.EVENT_SERVER_REJECT,
                     reason=reason,
@@ -127,10 +127,9 @@ class AdmissionController:
         self.inflight_bytes += nbytes
         self.admitted_total += 1
         self.consecutive_rejections = 0
-        if obs_metrics.METRICS.enabled:
+        if obs_recorder.ON:
             obs_metrics.inc("server.admitted")
             obs_metrics.set_gauge("server.queue_depth", self.depth)
-        if obs_events.EVENTS.enabled:
             obs_events.emit(
                 obs_events.EVENT_SERVER_ADMIT,
                 depth=self.depth,
@@ -146,7 +145,7 @@ class AdmissionController:
         ticket.released = True
         self.depth = max(0, self.depth - 1)
         self.inflight_bytes = max(0, self.inflight_bytes - ticket.nbytes)
-        if obs_metrics.METRICS.enabled:
+        if obs_recorder.ON:
             obs_metrics.set_gauge("server.queue_depth", self.depth)
 
     def stats(self) -> dict[str, int]:

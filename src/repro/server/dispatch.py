@@ -40,6 +40,7 @@ from repro.joins import predicates as predicate_module
 from repro.obs import context as obs_context
 from repro.obs import metrics as obs_metrics
 from repro.obs import planquality
+from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
 from repro.parallel import pool as pool_mod
 from repro.parallel.cache import CacheToken, SolveCache, cache_key, use_cache
@@ -129,7 +130,7 @@ class Dispatcher:
         exhaustion is *not* an error — it surfaces as a degraded
         ``status`` in an ok response, exactly like the CLI.
 
-        When tracing is enabled the whole dispatch is timed as a
+        While observability records, the whole dispatch is timed as a
         *detached* ``server.dispatch`` span (stack-free, because the
         region stays open across ``await`` points while other requests
         interleave) and the ambient trace context is re-rooted under it,
@@ -251,7 +252,7 @@ class Dispatcher:
 
         cached_components = len(solved)
         tasks = list(pending.items())
-        if obs_metrics.METRICS.enabled:
+        if obs_recorder.ON:
             obs_metrics.inc("server.components", len(keys))
             obs_metrics.inc("server.components.solved", len(tasks))
 
@@ -289,9 +290,8 @@ class Dispatcher:
                         options=options,
                         deadline=share,
                         memo_cap=self.memo_cap,
-                        metrics_enabled=obs_metrics.METRICS.enabled,
+                        recording=obs_recorder.ON,
                         trace=obs_context.current(),
-                        trace_enabled=obs_trace.TRACER.enabled,
                     )
                     for _key, component in tasks
                 ]

@@ -28,8 +28,8 @@ Lifecycle of one request::
 Every stage is observable: ``server.request_start`` / ``server.request_end``
 events (end carries per-request latency and the trace id), request
 counters, and admission events/gauges from the controller.  When the
-server is given a run directory, shutdown writes ``events.jsonl`` +
-``metrics.json`` (+ ``trace.jsonl`` when tracing is enabled) there —
+server is given a run directory and observability is recording, shutdown
+writes ``events.jsonl`` + ``metrics.json`` + ``trace.jsonl`` there —
 the same artifact shapes as a bench run — and only then does a
 ``server.latency_ms`` histogram (p50/p99) enter the metrics snapshot:
 bench-run metrics must stay timing-free so same-seed runs stay
@@ -59,7 +59,9 @@ from typing import Any, Iterator
 
 from repro.obs import context as obs_context
 from repro.obs import events as obs_events
+from repro.obs import manifest as obs_manifest
 from repro.obs import metrics as obs_metrics
+from repro.obs import recorder as obs_recorder
 from repro.obs import telemetry as obs_telemetry
 from repro.obs import trace as obs_trace
 from repro.obs.context import TraceContext
@@ -192,7 +194,7 @@ class SolveServer:
                 self._handle_connection, host=self.host, port=self.port
             )
         try:
-            if obs_events.EVENTS.enabled:
+            if obs_recorder.ON:
                 obs_events.emit(
                     obs_events.EVENT_SERVER_START,
                     transport="unix" if self.unix_path is not None else "tcp",
@@ -240,7 +242,7 @@ class SolveServer:
             request = None
             with contextlib.suppress(protocol.ProtocolError):
                 request = protocol.parse_request(entry.request_line)
-            if obs_events.EVENTS.enabled:
+            if obs_recorder.ON:
                 obs_events.emit(
                     obs_events.EVENT_SERVER_RECOVER,
                     entry=entry.entry_id,
@@ -258,7 +260,7 @@ class SolveServer:
                     await self._dispatch_traced(request, ctx, recovered=True)
             self.recovered_total += 1
             self.journal.record_complete(entry.entry_id, recovered=True)
-        if entries and obs_metrics.METRICS.enabled:
+        if entries and obs_recorder.ON:
             obs_metrics.inc("server.recovered", len(entries))
 
     async def run_until_shutdown(self) -> None:
@@ -280,7 +282,7 @@ class SolveServer:
         if self.journal is not None:
             self.journal.close()
         self._unlink_socket()
-        if obs_events.EVENTS.enabled:
+        if obs_recorder.ON:
             obs_events.emit(
                 obs_events.EVENT_SERVER_STOP,
                 requests_total=self.requests_total,
@@ -302,11 +304,13 @@ class SolveServer:
         if self.run_dir is None:
             return
         self.run_dir.mkdir(parents=True, exist_ok=True)
-        if obs_events.EVENTS.enabled:
-            obs_events.write_events(self.run_dir / "events.jsonl")
-        if obs_metrics.METRICS.enabled:
-            (self.run_dir / "metrics.json").write_text(obs_metrics.to_json())
-        if obs_trace.TRACER.enabled:
+        if obs_recorder.ON:
+            obs_manifest.write_atomic(
+                self.run_dir / "events.jsonl", obs_events.to_jsonl()
+            )
+            obs_manifest.write_atomic(
+                self.run_dir / "metrics.json", obs_metrics.to_json()
+            )
             # One Span.as_dict per line, every span tagged with its
             # request's trace_id — the input `repro runs trace-request`
             # assembles per-request Chrome traces from.
@@ -370,7 +374,7 @@ class SolveServer:
             request = protocol.parse_request(line)
             request_id = request.id
             op_label = request.op
-            if obs_events.EVENTS.enabled:
+            if obs_recorder.ON:
                 obs_events.emit(
                     obs_events.EVENT_SERVER_REQUEST_START,
                     id=request.id,
@@ -449,7 +453,7 @@ class SolveServer:
         self.telemetry.record(
             op_label, latency_ms, outcome=outcome, code=error_code
         )
-        if obs_metrics.METRICS.enabled:
+        if obs_recorder.ON:
             obs_metrics.inc("server.requests")
             # The latency histogram belongs to *observed server runs*
             # (``--run-dir``), whose metrics.json is this server's own
@@ -459,7 +463,6 @@ class SolveServer:
             # generator's client-side measurements instead.
             if self.run_dir is not None:
                 obs_metrics.observe("server.latency_ms", latency_ms)
-        if obs_events.EVENTS.enabled:
             # The trace attr joins events.jsonl to trace.jsonl per request.
             obs_events.emit(
                 obs_events.EVENT_SERVER_REQUEST_END,

@@ -11,12 +11,14 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.engine import JoinQuery, execute, plan
 from repro.engine.executor import QueryResult
 from repro.joins.predicates import Band, Equality
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import planquality
+from repro.obs.manifest import write_atomic
 from repro.obs.planquality import (
     MISESTIMATE_THRESHOLD,
     PLAN_SCHEMA,
@@ -39,9 +41,8 @@ def clean_collectors():
     """Plan/event/metric logs start and end disabled and empty."""
 
     def _reset():
-        for mod in (planquality, obs_events, obs_metrics):
-            mod.disable()
-            mod.reset()
+        obs.disable()
+        obs.reset()
 
     _reset()
     yield
@@ -203,8 +204,7 @@ class TestFeedbackLoop:
         assert record.q_error is not None
 
     def test_misestimate_event_and_counter(self):
-        obs_events.enable()
-        obs_metrics.enable()
+        obs.enable()
         result = execute(_skewed_equality_query())
         record = result.plan.record
         assert record.q_error > MISESTIMATE_THRESHOLD
@@ -221,7 +221,7 @@ class TestFeedbackLoop:
         assert obs_metrics.counter("planner.misestimates") == 1
 
     def test_calibrated_plan_emits_no_misestimate(self):
-        obs_events.enable()
+        obs.enable()
         execute(_equality_query())
         assert all(
             e.name != obs_events.EVENT_PLANNER_MISESTIMATE
@@ -229,7 +229,7 @@ class TestFeedbackLoop:
         )
 
     def test_planner_plan_event(self):
-        obs_events.enable()
+        obs.enable()
         plan(_equality_query())
         emitted = [
             e
@@ -292,21 +292,21 @@ class TestPlanLog:
         assert planquality.records() == []
 
     def test_enabled_log_collects_and_serializes(self, tmp_path):
-        planquality.enable()
+        obs.enable()
         execute(_equality_query(), shadow=True)
         records = planquality.records()
         assert len(records) == 1
         assert records[0].actual_output is not None  # completed in place
         assert validate_jsonl(planquality.to_jsonl()) == []
-        target = planquality.write_plans(tmp_path / "plans.jsonl")
+        target = write_atomic(tmp_path / "plans.jsonl", planquality.to_jsonl())
         assert validate_jsonl(target.read_text()) == []
 
     def test_reset_drops_records(self):
-        planquality.enable()
+        obs.enable()
         plan(_equality_query())
-        planquality.reset()
+        obs.reset()
         assert planquality.records() == []
-        assert planquality.is_enabled()
+        assert obs.is_enabled()
 
 
 class TestCalibration:

@@ -1,6 +1,6 @@
 """Shared fixtures for the observability tests.
 
-Every test in this package runs against clean, disabled global
+Every test in this package starts with recording off and empty
 collectors; state is restored afterwards so observability tests cannot
 leak spans/counters into the rest of the suite.
 """
@@ -9,22 +9,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.joins.join_graph import clear_join_graph_cache
-from repro.obs import events as obs_events
-from repro.obs import metrics as obs_metrics
-from repro.obs import planquality as obs_plans
-from repro.obs import trace as obs_trace
 
 
 def _reset_collectors() -> None:
-    obs_trace.disable()
-    obs_metrics.disable()
-    obs_events.disable()
-    obs_plans.disable()
-    obs_trace.reset()
-    obs_metrics.reset()
-    obs_events.reset()
-    obs_plans.reset()
+    obs.disable()
+    obs.reset()
     clear_join_graph_cache()
 
 

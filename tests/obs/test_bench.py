@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
+from repro import obs
 from repro.cli import main
-from repro.obs import metrics, trace
 from repro.obs.bench import BENCH_SCHEMA, SCENARIOS, BenchConfig, run_bench
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent.parent
@@ -98,8 +98,12 @@ class TestRunBench:
         run_bench(
             smoke=True, names=["engine-equijoin"], runs_dir=tmp_path, out_dir=None
         )
-        assert not trace.is_enabled()
-        assert not metrics.is_enabled()
+        assert not obs.is_enabled()
+        obs.enable()
+        run_bench(
+            smoke=True, names=["engine-equijoin"], runs_dir=tmp_path, out_dir=None
+        )
+        assert obs.is_enabled()
 
     def test_counters_attributed_per_scenario(self, tmp_path):
         report, _, _ = run_bench(

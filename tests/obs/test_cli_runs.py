@@ -1,6 +1,6 @@
 """CLI surface of the cross-run observability layer: ``repro runs
 {index,list,show,compare,trend}``, ``repro report --html``, and the bench
-command's trajectory-feed publishing."""
+command's opt-in trajectory-feed publishing."""
 
 import json
 import shutil
@@ -230,23 +230,19 @@ class TestBenchPublish:
         assert payload["schema"] == "repro-bench/v2"
         assert "trajectory feed" in capsys.readouterr().out
 
-    def test_no_publish_skips_feed(self, tmp_path, capsys):
-        publish = tmp_path / "feed"
-        code = main([
-            "bench", "--smoke", "--scenario", "solver-exact",
-            "--runs-dir", str(tmp_path / "runs"),
-            "--out-dir", str(tmp_path),
-            "--publish-dir", str(publish), "--no-publish",
-        ])
-        assert code == 0
-        assert not publish.exists()
+    def test_bench_publishes_only_with_publish_dir(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # A plain bench run must never touch the tracked trajectory feed.
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", "--smoke"]) == 0
+        assert not (tmp_path / "benchmarks").exists()
         assert "trajectory feed" not in capsys.readouterr().out
 
     def test_bench_run_dir_carries_bench_json_and_events(self, tmp_path):
         code = main([
             "bench", "--smoke", "--scenario", "solver-exact",
             "--runs-dir", str(tmp_path / "runs"), "--no-bench-file",
-            "--no-publish",
         ])
         assert code == 0
         (run_dir,) = (tmp_path / "runs").iterdir()

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro import obs
 from repro.obs import context as obs_context
 from repro.obs import trace as obs_trace
 from repro.obs.context import TraceContext, derived_trace_id, new_trace_id
@@ -109,7 +110,7 @@ class TestAmbient:
 
 class TestSpanStamping:
     def test_top_level_span_stamped_from_ambient(self):
-        obs_trace.enable()
+        obs.enable()
         ctx = TraceContext(derived_trace_id(0, 0), parent_span_id=7)
         with obs_context.use(ctx):
             with obs_trace.span("work"):
@@ -119,7 +120,7 @@ class TestSpanStamping:
         assert span.remote_parent == 7
 
     def test_nested_span_inherits_parent_trace_id(self):
-        obs_trace.enable()
+        obs.enable()
         ctx = TraceContext(derived_trace_id(0, 1))
         with obs_context.use(ctx):
             with obs_trace.span("outer"):
@@ -132,14 +133,14 @@ class TestSpanStamping:
         assert spans["inner"].parent_index == spans["outer"].index
 
     def test_untraced_without_ambient_context(self):
-        obs_trace.enable()
+        obs.enable()
         with obs_trace.span("work"):
             pass
         [span] = obs_trace.spans()
         assert span.trace_id is None
 
     def test_detached_span_stays_off_the_stack(self):
-        obs_trace.enable()
+        obs.enable()
         with obs_trace.detached_span("server.request"):
             with obs_trace.span("solver"):
                 pass
@@ -158,7 +159,7 @@ class TestSpanStamping:
         assert obs_trace.spans() == []
 
     def test_detached_span_records_errors(self):
-        obs_trace.enable()
+        obs.enable()
         with pytest.raises(RuntimeError):
             with obs_trace.detached_span("failing"):
                 raise RuntimeError("boom")
@@ -170,19 +171,19 @@ class TestSpanStamping:
 class TestAdopt:
     def _shipped(self, ctx):
         """Spans recorded in a simulated worker process."""
-        obs_trace.enable()
+        obs.enable()
         with obs_context.use(ctx):
             with obs_trace.span("solver.solve"):
                 with obs_trace.span("solver.exact"):
                     pass
         shipped = obs_trace.as_dicts()
-        obs_trace.reset()
+        obs.reset()
         return shipped
 
     def test_adopt_remaps_parent_links(self):
         ctx = TraceContext(derived_trace_id(0, 0))
         shipped = self._shipped(ctx)
-        obs_trace.enable()
+        obs.enable()
         with obs_trace.span("local.root"):
             pass
         adopted = obs_trace.adopt(shipped, origin="worker")
@@ -206,7 +207,7 @@ class TestAdopt:
         # worker's top-level spans come home carrying that index as
         # remote_parent.  Build the worker record by hand so the local
         # registry (holding the dispatch span) stays intact.
-        obs_trace.enable()
+        obs.enable()
         ctx = TraceContext(derived_trace_id(0, 0))
         with obs_context.use(ctx):
             with obs_trace.detached_span("server.dispatch") as dispatch:
@@ -233,7 +234,7 @@ class TestAdopt:
         assert solve.trace_id == ctx.trace_id
 
     def test_adopt_keeps_unresolvable_remote_parent_as_metadata(self):
-        obs_trace.enable()
+        obs.enable()
         shipped = [
             {
                 "name": "solver.solve",
@@ -254,14 +255,14 @@ class TestAdopt:
     def test_adopt_when_disabled_is_a_noop(self):
         ctx = TraceContext(derived_trace_id(0, 0))
         shipped = self._shipped(ctx)
-        obs_trace.disable()
+        obs.disable()
         assert obs_trace.adopt(shipped, origin="worker") == []
         assert obs_trace.spans() == []
 
     def test_adopt_preserves_durations(self):
         ctx = TraceContext(derived_trace_id(0, 0))
         shipped = self._shipped(ctx)
-        obs_trace.enable()
+        obs.enable()
         adopted = obs_trace.adopt(shipped)
         for record, span in zip(shipped, adopted):
             assert span.end_ns - span.start_ns == max(0, record["duration_ns"])

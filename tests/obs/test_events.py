@@ -6,8 +6,10 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.errors import BudgetExhaustedError, InjectedFaultError
 from repro.obs import events, trace
+from repro.obs.manifest import write_atomic
 from repro.runtime import Budget, FaultPlan, inject, maybe_fail
 from repro.runtime.clock import FakeClock
 
@@ -18,13 +20,13 @@ class TestEventLog:
         assert events.events() == []
 
     def test_seq_is_strictly_increasing_and_zero_based(self):
-        events.enable()
+        obs.enable()
         for _ in range(5):
             events.emit(events.EVENT_SOLVER_PHASE, phase="solve")
         assert [e.seq for e in events.events()] == [0, 1, 2, 3, 4]
 
     def test_run_id_binding(self):
-        events.enable()
+        obs.enable()
         events.emit(events.EVENT_RUN_START)
         events.set_run_id("run-x")
         events.emit(events.EVENT_SOLVER_PHASE, phase="solve")
@@ -33,8 +35,7 @@ class TestEventLog:
         assert recorded[1].run_id == "run-x"
 
     def test_span_correlation_uses_innermost_open_span(self):
-        trace.enable()
-        events.enable()
+        obs.enable()
         events.emit(events.EVENT_RUN_START)
         with trace.span("outer"):
             with trace.span("inner") as inner:
@@ -44,17 +45,17 @@ class TestEventLog:
         assert recorded[1].span_id == inner.index
 
     def test_reset_drops_events_and_run_binding(self):
-        events.enable()
+        obs.enable()
         events.set_run_id("run-x")
         events.emit(events.EVENT_RUN_START)
-        events.reset()
+        obs.reset()
         assert events.events() == []
         events.emit(events.EVENT_RUN_END)
         assert events.events()[0].run_id is None
         assert events.events()[0].seq == 0
 
     def test_jsonl_round_trip_validates_clean(self):
-        events.enable()
+        obs.enable()
         events.set_run_id("run-x")
         events.emit(events.EVENT_BUDGET_TRIPPED, reason="deadline")
         events.emit(events.EVENT_LADDER_DEGRADED, src="exact", dst="greedy")
@@ -67,9 +68,9 @@ class TestEventLog:
         ]
 
     def test_write_events_leaves_no_temp_file(self, tmp_path):
-        events.enable()
+        obs.enable()
         events.emit(events.EVENT_RUN_START)
-        target = events.write_events(tmp_path / "events.jsonl")
+        target = write_atomic(tmp_path / "events.jsonl", events.to_jsonl())
         assert target.read_text() == events.to_jsonl()
         assert list(tmp_path.iterdir()) == [target]
 
@@ -119,7 +120,7 @@ class TestValidation:
 
 class TestRuntimeEmissionSites:
     def test_budget_trip_emits_one_event(self):
-        events.enable()
+        obs.enable()
         budget = Budget(node_budget=1)
         assert not budget.poll()
         assert budget.poll()
@@ -130,7 +131,7 @@ class TestRuntimeEmissionSites:
         assert recorded[0].attrs["nodes_charged"] == 2
 
     def test_deadline_trip_event_carries_elapsed(self):
-        events.enable()
+        obs.enable()
         clock = FakeClock()
         budget = Budget(deadline=1.0, clock=clock)
         budget.start()
@@ -142,7 +143,7 @@ class TestRuntimeEmissionSites:
         assert event.attrs["elapsed_seconds"] >= 1.0
 
     def test_memo_cap_emits_once_across_repeated_raises(self):
-        events.enable()
+        obs.enable()
         budget = Budget(memo_cap=1)
         with pytest.raises(BudgetExhaustedError):
             budget.charge_memo(5)
@@ -152,7 +153,7 @@ class TestRuntimeEmissionSites:
         assert names == [events.EVENT_BUDGET_TRIPPED]
 
     def test_fault_injection_emits_correlated_event(self):
-        events.enable()
+        obs.enable()
         events.set_run_id("chaos-run")
         plan = FaultPlan(seed=7, rates={"storage.read": 1.0})
         with inject(plan):
@@ -166,7 +167,7 @@ class TestRuntimeEmissionSites:
         assert event.attrs["call"] == 1
 
     def test_fault_events_stay_ordered_under_repeated_injection(self):
-        events.enable()
+        obs.enable()
         plan = FaultPlan(seed=0, rates={"*": 1.0})
         with inject(plan):
             for _ in range(4):
@@ -181,7 +182,7 @@ class TestRuntimeEmissionSites:
         from repro.core.solvers.registry import solve
         from repro.graphs.generators import random_connected_bipartite
 
-        events.enable()
+        obs.enable()
         graph = random_connected_bipartite(4, 4, 10, seed=0)
         budget = Budget(node_budget=1)
         solve(graph, budget=budget)
@@ -195,8 +196,7 @@ class TestRuntimeEmissionSites:
         from repro.core.solvers.registry import solve
         from repro.graphs.generators import random_connected_bipartite
 
-        trace.enable()
-        events.enable()
+        obs.enable()
         solve(random_connected_bipartite(3, 3, 6, seed=0), "exact")
         phases = [
             e for e in events.events() if e.name == events.EVENT_SOLVER_PHASE

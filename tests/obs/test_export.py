@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.obs import trace
 from repro.obs.export import (
     DEFAULT_FILENAMES,
@@ -67,7 +68,7 @@ def forests(draw):
 
 def _recorded_spans():
     """A small real trace recorded through the tracer."""
-    trace.enable()
+    obs.enable()
     with trace.span("solve", method="exact"):
         with trace.span("solve.component", m=3):
             pass

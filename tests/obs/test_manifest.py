@@ -2,6 +2,7 @@
 
 import json
 
+from repro import obs
 from repro.obs import manifest, metrics, trace
 from repro.obs.manifest import RunManifest, git_sha, make_run_id, write_run
 
@@ -35,7 +36,7 @@ class TestProvenance:
 
 class TestWriteRun:
     def test_writes_three_artifacts(self, tmp_path):
-        metrics.enable()
+        obs.enable()
         metrics.inc("example.counter", 5)
         run_dir = write_run("run-1", runs_dir=tmp_path, seed=3, args={"k": 1})
         assert run_dir == tmp_path / "run-1"
@@ -52,15 +53,15 @@ class TestWriteRun:
         assert "python_version" in payload
 
     def test_metrics_json_matches_registry(self, tmp_path):
-        metrics.enable()
+        obs.enable()
         metrics.inc("a", 1)
         run_dir = write_run("run-3", runs_dir=tmp_path)
         assert (run_dir / "metrics.json").read_text() == metrics.to_json()
 
     def test_metrics_json_byte_identical_across_same_seed_runs(self, tmp_path):
         def one_run(run_id):
-            metrics.reset()
-            metrics.enable()
+            obs.reset()
+            obs.enable()
             metrics.inc("solver.search_nodes", 17)
             metrics.observe("engine.output_size", 4)
             return write_run(run_id, runs_dir=tmp_path, seed=5)
@@ -72,8 +73,7 @@ class TestWriteRun:
     def test_report_includes_tables_and_metrics(self, tmp_path):
         from repro.analysis.report import Table
 
-        metrics.enable()
-        trace.enable()
+        obs.enable()
         with trace.span("work.unit"):
             metrics.inc("work.items", 2)
         table = Table(["k", "v"], title="Extra table")
@@ -143,7 +143,7 @@ class TestAtomicWrites:
         monkeypatch.setattr(manifest.os, "replace", failing_replace)
         import pytest
 
-        metrics.enable()
+        obs.enable()
         with pytest.raises(OSError):
             write_run("run-killed", runs_dir=tmp_path)
         run_dir = tmp_path / "run-killed"
@@ -158,7 +158,7 @@ class TestEventsArtifact:
     def test_write_run_emits_events_jsonl_when_events_recorded(self, tmp_path):
         from repro.obs import events
 
-        events.enable()
+        obs.enable()
         events.set_run_id("run-ev")
         events.emit(events.EVENT_RUN_START, mode="test")
         run_dir = write_run("run-ev", runs_dir=tmp_path)

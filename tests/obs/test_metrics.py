@@ -2,12 +2,13 @@
 
 import json
 
+from repro import obs
 from repro.obs import metrics
 
 
 class TestDisabled:
     def test_disabled_by_default(self):
-        assert not metrics.is_enabled()
+        assert not obs.is_enabled()
 
     def test_disabled_recording_is_noop(self):
         metrics.inc("c")
@@ -25,13 +26,13 @@ class TestDisabled:
 
 class TestCounters:
     def test_inc_defaults_to_one(self):
-        metrics.enable()
+        obs.enable()
         metrics.inc("solver.calls")
         metrics.inc("solver.calls")
         assert metrics.counter("solver.calls") == 2
 
     def test_inc_amount(self):
-        metrics.enable()
+        obs.enable()
         metrics.inc("nodes", 41)
         metrics.inc("nodes", 1)
         assert metrics.counter("nodes") == 42
@@ -42,13 +43,13 @@ class TestCounters:
 
 class TestGaugesAndHistograms:
     def test_gauge_last_write_wins(self):
-        metrics.enable()
+        obs.enable()
         metrics.set_gauge("size", 10)
         metrics.set_gauge("size", 3)
         assert metrics.METRICS.gauge("size") == 3
 
     def test_histogram_summary(self):
-        metrics.enable()
+        obs.enable()
         for value in (1, 2, 9):
             metrics.observe("m", value)
         h = metrics.METRICS.histogram("m")
@@ -142,11 +143,11 @@ class TestSnapshotSchema:
         snap = metrics.snapshot()
         assert snap["schema"] == "repro-metrics/v2"
         assert snap["enabled"] is False
-        metrics.enable()
+        obs.enable()
         assert metrics.snapshot()["enabled"] is True
 
     def test_to_json_carries_schema(self):
-        metrics.enable()
+        obs.enable()
         payload = json.loads(metrics.to_json())
         assert payload["schema"] == metrics.SNAPSHOT_SCHEMA
 
@@ -160,30 +161,30 @@ class TestSnapshotDeterminism:
         metrics.observe("h", 4)
 
     def test_snapshot_keys_sorted(self):
-        metrics.enable()
+        obs.enable()
         self._record()
         snap = metrics.snapshot()
         assert list(snap["counters"]) == sorted(snap["counters"])
 
     def test_to_json_byte_identical_across_identical_runs(self):
-        metrics.enable()
+        obs.enable()
         self._record()
         first = metrics.to_json()
-        metrics.reset()
+        obs.reset()
         self._record()
         second = metrics.to_json()
         assert first == second
 
     def test_to_json_parses_and_round_trips(self):
-        metrics.enable()
+        obs.enable()
         self._record()
         payload = json.loads(metrics.to_json())
         assert payload["counters"]["a.first"] == 3
         assert payload["histograms"]["h"]["count"] == 2
 
     def test_reset_drops_values_keeps_flag(self):
-        metrics.enable()
+        obs.enable()
         metrics.inc("x")
-        metrics.reset()
+        obs.reset()
         assert metrics.counter("x") == 0
-        assert metrics.is_enabled()
+        assert obs.is_enabled()

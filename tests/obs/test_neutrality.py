@@ -9,6 +9,7 @@ rows, and two same-seed runs must write byte-identical metrics.json.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core.solvers.registry import METHODS, solve
 from repro.engine import JoinQuery, execute
 from repro.graphs.generators import random_connected_bipartite
@@ -48,19 +49,15 @@ def _graph_for(method, seed):
 def test_every_solver_identical_with_and_without_collection(method, seed):
     graph = _graph_for(method, seed)
 
-    trace.disable()
-    metrics.disable()
+    obs.disable()
     baseline = _solve_fingerprint(graph, method)
 
-    trace.reset()
-    metrics.reset()
-    trace.enable()
-    metrics.enable()
+    obs.reset()
+    obs.enable()
     try:
         observed = _solve_fingerprint(graph, method)
     finally:
-        trace.disable()
-        metrics.disable()
+        obs.disable()
 
     assert observed == baseline
 
@@ -74,15 +71,15 @@ def test_every_solver_identical_with_event_log_enabled(method, seed):
     and counters."""
     graph = _graph_for(method, seed)
 
-    events.disable()
+    obs.disable()
     baseline = _solve_fingerprint(graph, method)
 
-    events.reset()
-    events.enable()
+    obs.reset()
+    obs.enable()
     try:
         observed = _solve_fingerprint(graph, method)
     finally:
-        events.disable()
+        obs.disable()
 
     assert observed == baseline
 
@@ -108,14 +105,14 @@ def test_budget_ladder_identical_with_event_log_enabled(seed):
             else tuple(result.provenance.degradations),
         )
 
-    events.disable()
+    obs.disable()
     baseline = fingerprint()
-    events.reset()
-    events.enable()
+    obs.reset()
+    obs.enable()
     try:
         observed = fingerprint()
     finally:
-        events.disable()
+        obs.disable()
     assert observed == baseline
 
 
@@ -135,15 +132,12 @@ def test_engine_output_identical_with_and_without_collection(seed):
         )
 
     baseline = fingerprint()
-    trace.reset()
-    metrics.reset()
-    trace.enable()
-    metrics.enable()
+    obs.reset()
+    obs.enable()
     try:
         observed = fingerprint()
     finally:
-        trace.disable()
-        metrics.disable()
+        obs.disable()
     assert observed == baseline
 
 
@@ -151,18 +145,15 @@ def _seeded_run(tmp_path, run_id, seed):
     """One 'experiment' whose metrics depend only on the seed."""
     from repro.obs.manifest import write_run
 
-    metrics.reset()
-    trace.reset()
-    metrics.enable()
-    trace.enable()
+    obs.reset()
+    obs.enable()
     left, right = zipf_equijoin_workload(12, 12, key_universe=4, seed=seed)
     clear_join_graph_cache()
     execute(JoinQuery(left, right, Equality()))
     graph = random_connected_bipartite(3, 3, 8, seed=seed)
     solve(graph, "dfs+polish")
     run_dir = write_run(run_id, runs_dir=tmp_path, seed=seed)
-    metrics.disable()
-    trace.disable()
+    obs.disable()
     return (run_dir / "metrics.json").read_bytes()
 
 
@@ -188,7 +179,7 @@ class TestHotPathInstrumentation:
         # Sparse on purpose: a complete-bipartite component would be
         # answered in closed form without entering the search at all.
         graph = random_connected_bipartite(4, 4, 3, seed=0)
-        trace.enable()
+        obs.enable()
         solve(graph, "exact")
         names = {s.name for s in trace.spans()}
         assert "solver.exact" in names
@@ -197,7 +188,7 @@ class TestHotPathInstrumentation:
 
     def test_exact_solver_counters_flushed(self):
         graph = random_connected_bipartite(4, 4, 3, seed=0)
-        metrics.enable()
+        obs.enable()
         solve(graph, "exact")
         assert metrics.counter("solver.exact.search_nodes") > 0
         assert metrics.counter("solver.exact.bound_checks") > 0
@@ -207,8 +198,7 @@ class TestHotPathInstrumentation:
         from repro.core.solvers.held_karp import held_karp_effective_cost
 
         graph = random_connected_bipartite(3, 3, 6, seed=1)
-        trace.enable()
-        metrics.enable()
+        obs.enable()
         held_karp_effective_cost(graph)
         names = {s.name for s in trace.spans()}
         assert "solver.held_karp.build" in names
@@ -218,7 +208,7 @@ class TestHotPathInstrumentation:
     def test_engine_materialize_span_recorded(self):
         left, right = zipf_equijoin_workload(10, 10, key_universe=4, seed=0)
         clear_join_graph_cache()
-        trace.enable()
+        obs.enable()
         execute(JoinQuery(left, right, Equality()))
         names = {s.name for s in trace.spans()}
         assert "engine.materialize" in names
@@ -227,7 +217,7 @@ class TestHotPathInstrumentation:
         graph = random_connected_bipartite(3, 3, 8, seed=0)
         left, right = zipf_equijoin_workload(10, 10, key_universe=4, seed=0)
         clear_join_graph_cache()
-        assert not trace.is_enabled()
+        assert not obs.is_enabled()
         solve(graph, "exact")
         execute(JoinQuery(left, right, Equality()))
         assert trace.spans() == []
@@ -239,18 +229,14 @@ class TestHotPathInstrumentation:
         from repro.core.solvers.held_karp import held_karp_effective_cost
 
         graph = random_connected_bipartite(3, 3, 6, seed=seed)
-        trace.disable()
-        metrics.disable()
+        obs.disable()
         baseline = held_karp_effective_cost(graph)
-        trace.reset()
-        metrics.reset()
-        trace.enable()
-        metrics.enable()
+        obs.reset()
+        obs.enable()
         try:
             observed = held_karp_effective_cost(graph)
         finally:
-            trace.disable()
-            metrics.disable()
+            obs.disable()
         assert observed == baseline
 
 
@@ -259,7 +245,7 @@ class TestSelectivityModes:
         from repro.engine.stats import estimate_selectivity
 
         left, right = zipf_equijoin_workload(5, 5, key_universe=3, seed=0)
-        metrics.enable()
+        obs.enable()
         estimate_selectivity(left, right, Equality(), sample_size=100, seed=0)
         assert metrics.counter("planner.selectivity.exact") == 1
         assert metrics.counter("planner.selectivity.sampled") == 0
@@ -279,7 +265,7 @@ class TestSelectivityModes:
         from repro.engine.stats import estimate_selectivity
 
         left, right = zipf_equijoin_workload(40, 40, key_universe=8, seed=0)
-        metrics.enable()
+        obs.enable()
         estimate_selectivity(left, right, Equality(), sample_size=50, seed=0)
         assert metrics.counter("planner.selectivity.sampled") == 1
         assert metrics.counter("planner.selectivity.exact") == 0
@@ -289,7 +275,7 @@ class TestJoinGraphCache:
     def test_repeated_execute_hits_cache(self):
         left, right = zipf_equijoin_workload(10, 10, key_universe=4, seed=0)
         query = JoinQuery(left, right, Equality())
-        metrics.enable()
+        obs.enable()
         execute(query)
         execute(query)
         assert metrics.counter("joins.join_graph_cache.hits") >= 1
@@ -340,26 +326,16 @@ class TestParallelNeutrality:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_solve_many_identical_with_and_without_collection(self, jobs):
-        trace.disable()
-        metrics.disable()
-        events.disable()
+        obs.disable()
         baseline = self._batch_fingerprint(jobs=jobs)
 
-        trace.reset()
-        metrics.reset()
-        events.reset()
-        trace.enable()
-        metrics.enable()
-        events.enable()
+        obs.reset()
+        obs.enable()
         try:
             observed = self._batch_fingerprint(jobs=jobs)
         finally:
-            trace.disable()
-            metrics.disable()
-            events.disable()
-            trace.reset()
-            metrics.reset()
-            events.reset()
+            obs.disable()
+            obs.reset()
         assert observed == baseline
 
     def test_cache_hits_identical_with_and_without_collection(self):
@@ -368,20 +344,16 @@ class TestParallelNeutrality:
         cold = self._batch_fingerprint(jobs=1)
         cache = SolveCache()
         self._batch_fingerprint(jobs=1, cache=cache)  # seed the cache
-        metrics.reset()
-        events.reset()
-        metrics.enable()
-        events.enable()
+        obs.reset()
+        obs.enable()
         try:
             warm_observed = self._batch_fingerprint(jobs=1, cache=cache)
             assert any(
                 e.name in ("cache.hit",) for e in events.events()
             ), "warm run should emit cache.hit events"
         finally:
-            metrics.disable()
-            events.disable()
-            metrics.reset()
-            events.reset()
+            obs.disable()
+            obs.reset()
         assert warm_observed == cold
 
     def test_pool_counters_merge_deterministically(self):
@@ -389,13 +361,13 @@ class TestParallelNeutrality:
         worker counters merge in sorted order, not completion order."""
 
         def counters():
-            metrics.reset()
-            metrics.enable()
+            obs.reset()
+            obs.enable()
             try:
                 self._batch_fingerprint(jobs=2)
                 return dict(metrics.snapshot()["counters"])
             finally:
-                metrics.disable()
-                metrics.reset()
+                obs.disable()
+                obs.reset()
 
         assert counters() == counters()

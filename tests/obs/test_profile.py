@@ -3,6 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.obs import trace
 from repro.obs.profile import (
     Profile,
@@ -177,7 +178,7 @@ class TestProfileAggregation:
 
 class TestGlobalProfile:
     def test_profile_of_global_tracer(self):
-        trace.enable()
+        obs.enable()
         with trace.span("outer"):
             with trace.span("inner"):
                 sum(range(100))
@@ -192,7 +193,7 @@ class TestGlobalProfile:
         from repro.core.solvers.registry import solve
         from repro.graphs.generators import random_connected_bipartite
 
-        trace.enable()
+        obs.enable()
         solve(random_connected_bipartite(3, 3, 8, seed=0), "exact")
         result = profile()
         assert result.total_self_ns > 0

@@ -1,11 +1,12 @@
 """Tests for the span tracer (repro.obs.trace)."""
 
+from repro import obs
 from repro.obs import trace
 
 
 class TestDisabled:
     def test_disabled_by_default(self):
-        assert not trace.is_enabled()
+        assert not obs.is_enabled()
 
     def test_disabled_span_records_nothing(self):
         with trace.span("nothing"):
@@ -22,7 +23,7 @@ class TestDisabled:
 
 class TestRecording:
     def test_flat_spans(self):
-        trace.enable()
+        obs.enable()
         with trace.span("one"):
             pass
         with trace.span("two"):
@@ -32,7 +33,7 @@ class TestRecording:
         assert all(s.depth == 0 for s in trace.spans())
 
     def test_nesting_depth_and_parent(self):
-        trace.enable()
+        obs.enable()
         with trace.span("outer"):
             with trace.span("inner"):
                 with trace.span("leaf"):
@@ -44,7 +45,7 @@ class TestRecording:
         assert outer.parent_index is None
 
     def test_durations_nonnegative_and_nested_within_parent(self):
-        trace.enable()
+        obs.enable()
         with trace.span("outer"):
             with trace.span("inner"):
                 sum(range(1000))
@@ -53,18 +54,18 @@ class TestRecording:
         assert outer.duration_ns >= inner.duration_ns
 
     def test_attrs_recorded(self):
-        trace.enable()
+        obs.enable()
         with trace.span("solve", method="exact", m=7) as s:
             pass
         assert s.attrs == {"method": "exact", "m": 7}
 
     def test_span_yields_span_object(self):
-        trace.enable()
+        obs.enable()
         with trace.span("x") as s:
             assert s.name == "x"
 
     def test_exception_still_closes_span(self):
-        trace.enable()
+        obs.enable()
         try:
             with trace.span("boom"):
                 raise ValueError("x")
@@ -76,7 +77,7 @@ class TestRecording:
 
 class TestErrorMarking:
     def test_exception_marks_span_as_error(self):
-        trace.enable()
+        obs.enable()
         try:
             with trace.span("boom"):
                 raise ValueError("x")
@@ -89,13 +90,13 @@ class TestErrorMarking:
     def test_exception_does_not_swallow(self):
         import pytest
 
-        trace.enable()
+        obs.enable()
         with pytest.raises(KeyError):
             with trace.span("boom"):
                 raise KeyError("k")
 
     def test_only_the_raising_span_is_marked(self):
-        trace.enable()
+        obs.enable()
         try:
             with trace.span("outer"):
                 with trace.span("inner"):
@@ -109,7 +110,7 @@ class TestErrorMarking:
         assert "error" not in inner.attrs
 
     def test_error_propagates_through_nested_spans(self):
-        trace.enable()
+        obs.enable()
         try:
             with trace.span("outer"):
                 with trace.span("inner"):
@@ -122,7 +123,7 @@ class TestErrorMarking:
         assert outer.attrs["error_type"] == "OSError"
 
     def test_success_leaves_no_error_attrs(self):
-        trace.enable()
+        obs.enable()
         with trace.span("fine", method="exact"):
             pass
         (s,) = trace.spans()
@@ -131,7 +132,7 @@ class TestErrorMarking:
     def test_error_attrs_survive_export(self):
         from repro.obs.export import to_chrome_trace
 
-        trace.enable()
+        obs.enable()
         try:
             with trace.span("boom"):
                 raise ValueError("x")
@@ -142,7 +143,7 @@ class TestErrorMarking:
         assert event["args"]["error_type"] == "ValueError"
 
     def test_total_ns_sums_by_name(self):
-        trace.enable()
+        obs.enable()
         for _ in range(3):
             with trace.span("repeated"):
                 pass
@@ -151,15 +152,15 @@ class TestErrorMarking:
         )
 
     def test_reset_drops_spans_keeps_flag(self):
-        trace.enable()
+        obs.enable()
         with trace.span("x"):
             pass
-        trace.reset()
+        obs.reset()
         assert trace.spans() == []
-        assert trace.is_enabled()
+        assert obs.is_enabled()
 
     def test_as_dicts_shape(self):
-        trace.enable()
+        obs.enable()
         with trace.span("outer"):
             with trace.span("inner", k=1):
                 pass
@@ -170,7 +171,7 @@ class TestErrorMarking:
         assert all(d["duration_ns"] >= 0 for d in dicts)
 
     def test_render_tree_indents_children(self):
-        trace.enable()
+        obs.enable()
         with trace.span("outer"):
             with trace.span("inner"):
                 pass
@@ -182,8 +183,12 @@ class TestErrorMarking:
 
 class TestPrivateTracer:
     def test_independent_of_global(self):
+        # Private tracers follow the one switch but keep their own spans.
         private = trace.Tracer()
-        private.enable()
+        with private.span("off"):
+            pass
+        assert private.spans() == []
+        obs.enable()
         with private.span("mine"):
             pass
         assert [s.name for s in private.spans()] == ["mine"]

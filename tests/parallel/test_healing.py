@@ -10,6 +10,7 @@ run.
 
 import pytest
 
+from repro import obs
 from repro.core.families import worst_case_family
 from repro.graphs.generators import (
     matching_graph,
@@ -135,10 +136,8 @@ class TestSelfHealing:
             assert QUARANTINE_MARKER in result.provenance.degradations
 
     def test_crash_trail_is_observable(self):
-        obs_events.reset()
-        obs_metrics.reset()
-        obs_events.enable()
-        obs_metrics.enable()
+        obs.reset()
+        obs.enable()
         try:
             with WorkerPool(2) as pool:
                 with inject(FaultPlan(seed=3, rates={CRASH_SITE: 1.0})):
@@ -153,10 +152,10 @@ class TestSelfHealing:
             # The trail validates against the closed vocabulary.
             assert obs_events.validate_jsonl(obs_events.to_jsonl()) == []
         finally:
-            obs_events.disable()
-            obs_events.reset()
-            obs_metrics.disable()
-            obs_metrics.reset()
+            obs.disable()
+            obs.reset()
+            obs.disable()
+            obs.reset()
 
 
 class TestDispatchResilient:

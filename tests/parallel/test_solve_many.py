@@ -6,8 +6,11 @@ identical across ``jobs=1``, ``jobs=4``, cold cache, and warm cache —
 and identical to a direct ``registry.solve`` on the same graph.
 """
 
+from collections import Counter
+
 import pytest
 
+from repro import obs
 from repro.core.families import worst_case_family
 from repro.core.solvers.registry import solve
 from repro.errors import SolverError
@@ -18,6 +21,8 @@ from repro.graphs.generators import (
     matching_graph,
     random_connected_bipartite,
 )
+from repro.obs import events as obs_events
+from repro.obs import trace as obs_trace
 from repro.parallel import SolveCache, solve_many, split_deadline, use_cache
 
 
@@ -79,6 +84,32 @@ class TestJobsInvariance:
             # The stitched scheme must delete every edge of the graph.
             assert result.scheme.is_valid(working)
             assert result.scheme.effective_cost(working) == result.effective_cost
+
+    def test_jobs_1_vs_2_identical_account(self):
+        """Same spans and events whether solved inline or in workers.
+
+        30-edge graphs run dfs_approx + polish (Thm 3.1), whose spans
+        and events are recorded in the worker processes at jobs=2.
+        """
+        graphs = [
+            random_connected_bipartite(10, 10, 30, seed=seed) for seed in range(6)
+        ]
+        accounts = []
+        for jobs in (1, 2):
+            with obs.recording():
+                solve_many(graphs, jobs=jobs)
+            spans = obs_trace.spans()
+            by_index = {span.index: span.name for span in spans}
+            accounts.append((
+                sorted((s.name, by_index.get(s.parent_index)) for s in spans),
+                Counter(event.name for event in obs_events.events()),
+            ))
+        obs.reset()
+        assert accounts[0] == accounts[1]
+        tree, events = accounts[1]
+        assert ("solver.polish", "solver.solve") in tree
+        assert ("solver.solve", "parallel.solve_many") in tree
+        assert events["solver.phase"] == len(graphs)
 
 
 class TestReassembly:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.runtime import Budget, CircuitBreaker, FakeClock, RetryPolicy, use_budget
@@ -155,16 +156,16 @@ class TestCallHelper:
 
 class TestObservability:
     def setup_method(self):
-        obs_events.reset()
-        obs_events.enable()
-        obs_metrics.reset()
-        obs_metrics.enable()
+        obs.reset()
+        obs.enable()
+        obs.reset()
+        obs.enable()
 
     def teardown_method(self):
-        obs_events.disable()
-        obs_events.reset()
-        obs_metrics.disable()
-        obs_metrics.reset()
+        obs.disable()
+        obs.reset()
+        obs.disable()
+        obs.reset()
 
     def test_attempt_and_give_up_events(self):
         controller = RetryPolicy(max_attempts=2, jitter=0.0).controller(

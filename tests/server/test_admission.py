@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.server.admission import (
     RETRY_AFTER_MAX_MS,
     AdmissionController,
@@ -118,10 +119,10 @@ class TestObservability:
     def test_admit_and_reject_events(self):
         from repro.obs import events, metrics
 
-        events.reset()
-        events.enable()
-        metrics.reset()
-        metrics.enable()
+        obs.reset()
+        obs.enable()
+        obs.reset()
+        obs.enable()
         try:
             controller = AdmissionController(max_queue_depth=1)
             ticket = controller.admit(5)
@@ -138,7 +139,7 @@ class TestObservability:
             assert metrics.counter("server.rejected.queue_depth") == 1
             assert metrics.METRICS.gauge("server.queue_depth") == 0
         finally:
-            events.disable()
-            events.reset()
-            metrics.disable()
-            metrics.reset()
+            obs.disable()
+            obs.reset()
+            obs.disable()
+            obs.reset()

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.core.families import worst_case_family
 from repro.graphs.generators import random_connected_bipartite
 from repro.graphs.io import dump_bipartite
@@ -148,8 +149,8 @@ class TestInjectedFaults:
 
 class TestChaosArtifacts:
     def test_events_jsonl_stays_valid_under_chaos(self, tmp_path):
-        obs_events.reset()
-        obs_events.enable()
+        obs.reset()
+        obs.enable()
         try:
             run_dir = tmp_path / "run"
             server = SolveServer(
@@ -172,5 +173,5 @@ class TestChaosArtifacts:
             names = {json.loads(line)["name"] for line in text.splitlines()}
             assert "server.request_end" in names
         finally:
-            obs_events.disable()
-            obs_events.reset()
+            obs.disable()
+            obs.reset()

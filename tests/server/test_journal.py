@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.graphs.io import dump_bipartite
 from repro.graphs.generators import complete_bipartite, path_graph
 from repro.obs import events as obs_events
@@ -115,8 +116,8 @@ class TestServerJournaling:
             journal.record_admitted(
                 encode_request("r1", "solve", PATH6).strip()
             )
-        obs_events.reset()
-        obs_events.enable()
+        obs.reset()
+        obs.enable()
         try:
             cache = SolveCache()
             server = _server(
@@ -134,8 +135,8 @@ class TestServerJournaling:
             names = [e.name for e in obs_events.events()]
             assert "server.recover" in names
         finally:
-            obs_events.disable()
-            obs_events.reset()
+            obs.disable()
+            obs.reset()
         records = load_records(journal_dir / JOURNAL_NAME)
         assert validate_records(records) == []
         assert incomplete_entries(records) == []

@@ -10,6 +10,7 @@ import threading
 
 import pytest
 
+from repro import obs
 from repro.core.families import worst_case_family
 from repro.graphs.generators import (
     complete_bipartite,
@@ -238,8 +239,8 @@ class TestLifecycle:
             ServeClient(unix_path=server.address, timeout=0.5)
 
     def test_run_dir_artifacts_validate(self, tmp_path):
-        obs_events.reset()
-        obs_events.enable()
+        obs.reset()
+        obs.enable()
         try:
             run_dir = tmp_path / "run"
             server = _server(tmp_path, run_dir=run_dir)
@@ -260,8 +261,8 @@ class TestLifecycle:
             assert "server.request_end" in names
             assert "server.stop" in names
         finally:
-            obs_events.disable()
-            obs_events.reset()
+            obs.disable()
+            obs.reset()
 
     def test_constructor_validation(self, tmp_path):
         with pytest.raises(ValueError):

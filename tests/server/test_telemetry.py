@@ -7,8 +7,11 @@ trace_id, assemblable into a validated Chrome trace; and the ``metrics``
 op answers Prometheus text format with per-op latency histograms.
 """
 
+from collections import Counter
+
 import pytest
 
+from repro import obs
 from repro.graphs.generators import path_graph, random_connected_bipartite
 from repro.graphs.io import dump_bipartite
 from repro.obs import context as obs_context
@@ -31,12 +34,8 @@ def clean_obs_state():
     """Global collectors start and end disabled+clean around every test."""
 
     def _reset():
-        obs_trace.disable()
-        obs_metrics.disable()
-        obs_events.disable()
-        obs_trace.reset()
-        obs_metrics.reset()
-        obs_events.reset()
+        obs.disable()
+        obs.reset()
 
     _reset()
     yield
@@ -87,7 +86,7 @@ class TestTracePropagation:
 
     def _traced_solve(self, tmp_path, jobs, seed):
         tmp_path.mkdir(parents=True, exist_ok=True)
-        obs_trace.enable()
+        obs.enable()
         ctx = TraceContext(derived_trace_id(99, seed))
         with serve_background(_server(tmp_path, jobs=jobs)) as live:
             with ServeClient(unix_path=live.address) as client:
@@ -96,18 +95,28 @@ class TestTracePropagation:
                 )
         assert response["ok"] is True
         spans = obs_trace.spans()
-        obs_trace.disable()
-        obs_trace.reset()
-        return ctx, spans
+        # pool.task_* events describe the pool hand-off itself, which
+        # only the jobs>1 server has; every other event must match.
+        event_names = Counter(
+            event.name
+            for event in obs_events.events()
+            if not event.name.startswith("pool.task_")
+        )
+        obs.disable()
+        obs.reset()
+        return ctx, spans, event_names
 
     def test_identical_span_trees_across_the_pickle_boundary(self, tmp_path):
         # The acceptance bar: jobs=1 (inline, no pool) and jobs=4
-        # (solver spans recorded in worker processes, shipped home,
-        # adopted) must yield the same logical span tree for the same
-        # request — one trace_id, same parent/child names.
-        ctx1, spans1 = self._traced_solve(tmp_path / "j1", jobs=1, seed=31)
-        ctx4, spans4 = self._traced_solve(tmp_path / "j4", jobs=4, seed=31)
+        # (solver spans and events recorded in worker processes, shipped
+        # home, merged) must yield the same logical span tree and the
+        # same events for the same request — one trace_id, same
+        # parent/child names, same event-name multiset.
+        ctx1, spans1, events1 = self._traced_solve(tmp_path / "j1", jobs=1, seed=31)
+        ctx4, spans4, events4 = self._traced_solve(tmp_path / "j4", jobs=4, seed=31)
         assert _span_tree(spans1) == _span_tree(spans4)
+        assert events1 == events4
+        assert events4["solver.phase"] > 0
         for ctx, spans in ((ctx1, spans1), (ctx4, spans4)):
             assert {span.trace_id for span in spans} == {ctx.trace_id}
         # Only the jobs=4 run crossed a process boundary.
@@ -125,7 +134,7 @@ class TestTracePropagation:
         assert all(s.parent_index == dispatch.index for s in solver_roots)
 
     def test_request_trace_assembles_one_valid_chrome_trace(self, tmp_path):
-        obs_trace.enable()
+        obs.enable()
         with serve_background(_server(tmp_path, jobs=4)) as live:
             with ServeClient(unix_path=live.address) as client:
                 rid = client.send("solve", _fresh_graph(47), request_id="req-47")
@@ -142,8 +151,7 @@ class TestTracePropagation:
             obs_export.request_trace([], "nope")
 
     def test_spans_adopted_counter_increments(self, tmp_path):
-        obs_trace.enable()
-        obs_metrics.enable()
+        obs.enable()
         with serve_background(_server(tmp_path, jobs=4)) as live:
             with ServeClient(unix_path=live.address) as client:
                 assert client.solve(_fresh_graph(53))["ok"] is True
@@ -168,7 +176,7 @@ class TestDisabledNeutrality:
         with serve_background(_server(tmp_path / "off", jobs=1)) as live:
             with ServeClient(unix_path=live.address) as client:
                 untraced = client.solve(graph)["result"]
-        obs_trace.enable()
+        obs.enable()
         with serve_background(_server(tmp_path / "on", jobs=1)) as live:
             with ServeClient(unix_path=live.address) as client:
                 traced = client.solve(graph)["result"]
@@ -198,7 +206,7 @@ class TestJournalTracePreservation:
                 encode_request("r1", "solve", PATH6, trace=ctx).strip(),
                 trace=ctx.as_wire(),
             )
-        obs_trace.enable()
+        obs.enable()
         server = _server(tmp_path, journal_dir=journal_dir, recover=True)
         with serve_background(server):
             pass
@@ -215,7 +223,7 @@ class TestJournalTracePreservation:
         # A journal written before tracing existed: no trace key at all.
         with RequestJournal(journal_dir) as journal:
             journal.record_admitted(encode_request("r1", "solve", PATH6).strip())
-        obs_trace.enable()
+        obs.enable()
         server = _server(tmp_path, journal_dir=journal_dir, recover=True)
         with serve_background(server):
             pass
@@ -230,7 +238,7 @@ class TestJournalTracePreservation:
 
 class TestStatsRuntimeCounters:
     def test_stats_expose_runtime_counters(self, tmp_path):
-        obs_metrics.enable()
+        obs.enable()
         with serve_background(_server(tmp_path)) as live:
             with ServeClient(unix_path=live.address) as client:
                 assert client.solve(PATH6)["ok"] is True

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.cli import build_parser, main
 from repro.graphs.generators import complete_bipartite
 from repro.graphs.io import dump_bipartite
@@ -120,11 +121,10 @@ class TestProfileCommand:
         assert "unknown scenario" in capsys.readouterr().err
 
     def test_profile_restores_disabled_collection(self):
-        from repro.obs import metrics, trace
+        from repro.obs import trace
 
         assert main(["profile", "--smoke"]) == 0
-        assert not trace.is_enabled()
-        assert not metrics.is_enabled()
+        assert not obs.is_enabled()
         assert trace.spans() == []
 
 
@@ -289,7 +289,7 @@ class TestExplainCommand:
         assert document["records"]
         # The command restores the log's disabled state and leaves no
         # records behind.
-        assert not planquality.is_enabled()
+        assert not obs.is_enabled()
         assert planquality.records() == []
 
     def test_unknown_scenario_exits_two(self, capsys):
