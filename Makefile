@@ -4,8 +4,8 @@ PYTHON ?= python
 
 .PHONY: install test bench bench-smoke bench-baseline perf-gate plan-gate \
 	plan-baseline profile-smoke chaos-smoke report-smoke parallel-smoke \
-	serve-smoke crash-smoke telemetry-smoke wcoj-smoke runs-index \
-	examples docs check clean
+	serve-smoke crash-smoke telemetry-smoke wcoj-smoke perfbench-smoke \
+	runs-index examples docs check clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -226,6 +226,12 @@ wcoj-smoke:
 		--out-dir .wcoj-smoke --runs-dir .wcoj-smoke/runs
 	$(PYTHON) tools/check_wcoj_smoke.py .wcoj-smoke/BENCH_*.json
 	rm -rf .wcoj-smoke
+
+# Repository benchmark smoke test (perfbench/README.md): every workload on
+# tiny inputs, with each answer checked against the paper (edge coverage,
+# m <= pi <= 1.25m, pi = m on equijoins, server pi vs a local solve).
+perfbench-smoke:
+	$(PYTHON) -m pytest -q perfbench/test_smoke.py
 
 # Build (or refresh) the queryable SQLite index over runs/.
 runs-index:

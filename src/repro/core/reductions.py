@@ -27,6 +27,7 @@ from repro.graphs.generators import incidence_graph
 from repro.graphs.simple import Graph
 from repro.core.gadgets import DiamondGadget, default_gadget
 from repro.core.scheme import PebblingScheme
+from repro.core.solvers.local_search import two_opt_pass
 from repro.core.tsp import scheme_to_tour
 
 # ---------------------------------------------------------------------------
@@ -78,38 +79,18 @@ class Tsp12Instance:
 
 
 def improve_tsp12_tour(instance: Tsp12Instance, tour: list, max_rounds: int = 5000) -> list:
-    """Polynomial 2-opt / or-opt improvement of a TSP(1,2) visiting order.
+    """Polynomial 2-opt improvement of a TSP(1,2) visiting order.
 
     The solution maps ``g`` of both reductions run this after their
     structural conversion — the paper's proofs similarly post-process
     ("nice-ify") the recovered tour before reading off its cost, and an
-    L-reduction's ``g`` may be any polynomial-time map.
+    L-reduction's ``g`` may be any polynomial-time map.  It is the
+    polisher's jump-local 2-opt pass with the instance's weight-1 edges as
+    the adjacency test, repeated to a 2-opt local optimum.
     """
-    graph = instance.graph
-
-    def w(a, b) -> int:
-        return 1 if graph.has_edge(a, b) else 2
-
     working = list(tour)
-    n = len(working)
     for _ in range(max_rounds):
-        improved = False
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                before = after = 0
-                if i > 0:
-                    before += w(working[i - 1], working[i])
-                    after += w(working[i - 1], working[j])
-                if j < n - 1:
-                    before += w(working[j], working[j + 1])
-                    after += w(working[i], working[j + 1])
-                if after < before:
-                    working[i : j + 1] = reversed(working[i : j + 1])
-                    improved = True
-                    break
-            if improved:
-                break
-        if not improved:
+        if not two_opt_pass(working, instance.graph.has_edge):
             break
     return working
 

@@ -140,10 +140,16 @@ def _peel_chunks(tree: RootedTree, line: Graph) -> list[list]:
         _eliminate_twins(tree, line)
         if len(tree) < 4:
             break
-        sizes = tree.subtree_sizes()
-        # Deepest node with >= 4 descendants (including itself).
+        # Deepest node with >= 4 descendants (including itself), ties to
+        # the largest repr.  Sizes and depths come from one pass over the
+        # tree per peel, not a parent-pointer walk per candidate, and repr
+        # is taken only at the deepest level.
+        sizes, depths = tree.sizes_and_depths()
         candidates = [n for n in tree.nodes() if sizes[n] >= 4]
-        target = max(candidates, key=lambda n: (tree.depth(n), repr(n)))
+        deepest = max(depths[n] for n in candidates)
+        target = max(
+            (n for n in candidates if depths[n] == deepest), key=repr
+        )
         chunks.append(_subtree_as_path(tree, target))
         tree.remove_subtree(target)
     if len(tree) > 0:

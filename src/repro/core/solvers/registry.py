@@ -175,12 +175,15 @@ def _wrap(
 
 
 def _max_component_edges(graph: AnyGraph) -> int:
+    # Half a component's degree sum is its edge count: no induced subgraph.
     working = graph.without_isolated_vertices()
-    sizes = [
-        working.subgraph(vs).num_edges
-        for vs in component_vertex_sets(working)
-    ]
-    return max(sizes, default=0)
+    return max(
+        (
+            sum(working.degree(v) for v in vs) // 2
+            for vs in component_vertex_sets(working)
+        ),
+        default=0,
+    )
 
 
 # Options consumed by budget resolution; solve() strips them before

@@ -30,7 +30,7 @@ EdgeNode = tuple  # a node of L(G) == an edge of G in canonical orientation
 
 def edges_share_endpoint(e1: EdgeNode, e2: EdgeNode) -> bool:
     """Weight-1 test: do the two underlying edges share an endpoint?"""
-    return bool(set(e1) & set(e2))
+    return e1[0] in e2 or e1[1] in e2
 
 
 def tour_cost(tour: Sequence[EdgeNode]) -> int:

@@ -118,10 +118,22 @@ class RootedTree:
 
     def subtree_sizes(self) -> dict[Vertex, int]:
         """Subtree size (including the node itself) for every node."""
-        sizes: dict[Vertex, int] = {}
-        for node in reversed(self._preorder()):
-            sizes[node] = 1 + sum(sizes[c] for c in self._children[node])
-        return sizes
+        return self.sizes_and_depths()[0]
+
+    def sizes_and_depths(self) -> tuple[dict[Vertex, int], dict[Vertex, int]]:
+        """Subtree size and depth (root = 0) of every node, from one
+        top-down pass (parents before children) and its reverse."""
+        order = [self.root]
+        depths = {self.root: 0}
+        for node in order:  # grows while iterated: breadth-first
+            below = depths[node] + 1
+            for child in self._children[node]:
+                depths[child] = below
+                order.append(child)
+        sizes = dict.fromkeys(order, 1)
+        for node in reversed(order[1:]):
+            sizes[self._parent[node]] += sizes[node]
+        return sizes, depths
 
     def depth(self, node: Vertex) -> int:
         d = 0
@@ -130,9 +142,6 @@ class RootedTree:
             d += 1
             current = self._parent[current]
         return d
-
-    def _preorder(self) -> list[Vertex]:
-        return self.subtree_nodes(self.root)
 
     def max_children(self) -> int:
         if not self._children:

@@ -3,15 +3,19 @@
 import pytest
 
 from repro.errors import SolverError
+from repro.graphs.components import component_vertex_sets
 from repro.graphs.generators import (
     complete_bipartite,
+    random_bipartite_gnm,
     random_connected_bipartite,
+    random_tsp12_graph,
     union_of_bicliques,
 )
 from repro.core.families import worst_case_family
 from repro.core.solvers.registry import (
     METHODS,
     SolveResult,
+    _max_component_edges,
     optimal_effective_cost,
     solve,
 )
@@ -37,6 +41,21 @@ class TestAuto:
         assert result.method == "dfs+polish"
         assert not result.optimal
         result.scheme.validate(g)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_max_component_edges_matches_induced_subgraphs(self, seed):
+        for g in (
+            random_bipartite_gnm(8, 8, 12, seed=seed),
+            random_tsp12_graph(14, 3, seed=seed),
+            worst_case_family(seed + 1),
+        ):
+            working = g.without_isolated_vertices()
+            expected = max(
+                (working.subgraph(vs).num_edges
+                 for vs in component_vertex_sets(working)),
+                default=0,
+            )
+            assert _max_component_edges(g) == expected
 
     def test_exact_edge_limit_override(self):
         g = worst_case_family(10)  # m = 20
