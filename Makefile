@@ -19,17 +19,16 @@ bench:
 # Bench artifacts go to a scratch directory so repo-root BENCH_<date>.json
 # files stop churning in every PR; the committed comparison point is
 # benchmarks/baseline.json (refresh it with `make bench-baseline`), and the
-# canonical trajectory feed is benchmarks/results/.  `repro bench` only
-# publishes there when asked (--publish-dir), as this target does.
+# canonical trajectory feed is benchmarks/results/.  A one-sample smoke run
+# is never a trajectory point, so this gate only validates the committed
+# points and never publishes a new one.
 bench-smoke:
 	rm -rf .bench-smoke
 	PYTHONPATH=src $(PYTHON) -m repro bench --smoke \
-		--out-dir .bench-smoke --runs-dir .bench-smoke/runs \
-		--publish-dir benchmarks/results
-	$(PYTHON) tools/check_bench_json.py .bench-smoke/BENCH_*.json \
-		benchmarks/results/BENCH_*.json
-	$(PYTHON) tools/check_trace_json.py .bench-smoke/runs/*/trace.json
-	$(PYTHON) tools/check_events_jsonl.py .bench-smoke/runs/*/events.jsonl
+		--out-dir .bench-smoke --runs-dir .bench-smoke/runs
+	PYTHONPATH=src $(PYTHON) -m repro check .bench-smoke/BENCH_*.json \
+		benchmarks/results/BENCH_*.json .bench-smoke/runs/*/trace.json \
+		.bench-smoke/runs/*/events.jsonl
 	rm -rf .bench-smoke
 
 # Refresh the committed perf baseline (smoke mode, the size perf-gate
@@ -40,7 +39,7 @@ bench-baseline:
 	rm -rf .bench-baseline
 	PYTHONPATH=src $(PYTHON) -m repro bench --smoke --repeat 5 \
 		--out-dir .bench-baseline --runs-dir .bench-baseline/runs
-	$(PYTHON) tools/check_bench_json.py .bench-baseline/BENCH_*.json
+	PYTHONPATH=src $(PYTHON) -m repro check .bench-baseline/BENCH_*.json
 	cp .bench-baseline/BENCH_*.json benchmarks/baseline.json
 	rm -rf .bench-baseline
 	@echo "benchmarks/baseline.json refreshed — commit it"
@@ -51,8 +50,8 @@ perf-gate:
 	rm -rf .perf-gate
 	PYTHONPATH=src $(PYTHON) -m repro bench --smoke --repeat 5 \
 		--out-dir .perf-gate --runs-dir .perf-gate/runs
-	$(PYTHON) tools/bench_diff.py benchmarks/baseline.json \
-		.perf-gate/BENCH_*.json --tolerance 0.25
+	PYTHONPATH=src $(PYTHON) -m repro check \
+		--baseline benchmarks/baseline.json .perf-gate/BENCH_*.json
 	rm -rf .perf-gate
 
 # Plan-quality gate (docs/OBSERVABILITY.md): a fresh smoke bench of the
@@ -71,9 +70,9 @@ plan-gate:
 		--no-bench-file
 	PYTHONPATH=src $(PYTHON) -m repro explain --scenario engine-planner \
 		--json > .plan-gate/explain.json
-	$(PYTHON) tools/check_plan_quality.py --validate \
+	PYTHONPATH=src $(PYTHON) -m repro check \
 		.plan-gate/runs/*/plans.jsonl .plan-gate/explain.json
-	$(PYTHON) tools/check_plan_quality.py \
+	PYTHONPATH=src $(PYTHON) -m repro check \
 		--baseline benchmarks/plan_baseline.json \
 		.plan-gate/runs/*/plans.jsonl
 	rm -rf .plan-gate
@@ -87,7 +86,7 @@ plan-baseline:
 		--scenario engine-spatial --scenario engine-chain \
 		--out-dir .plan-baseline --runs-dir .plan-baseline/runs \
 		--no-bench-file
-	$(PYTHON) tools/check_plan_quality.py \
+	PYTHONPATH=src $(PYTHON) -m repro check \
 		--write-baseline benchmarks/plan_baseline.json \
 		.plan-baseline/runs/*/plans.jsonl
 	rm -rf .plan-baseline
@@ -99,7 +98,7 @@ profile-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro profile --smoke --top 10
 	PYTHONPATH=src $(PYTHON) -m repro trace --smoke --format perfetto \
 		-o .profile-smoke-trace.json
-	$(PYTHON) tools/check_trace_json.py .profile-smoke-trace.json
+	PYTHONPATH=src $(PYTHON) -m repro check .profile-smoke-trace.json
 	rm -f .profile-smoke-trace.json
 
 # Deterministic fault injection: the suite plus one chaos bench per seed.
@@ -121,7 +120,7 @@ chaos-smoke:
 		test $$status -eq 1 || exit 1; \
 		grep -q Traceback .chaos-smoke/stderr.txt && exit 1 || true; \
 	done
-	$(PYTHON) tools/check_bench_json.py .chaos-smoke/seed*/BENCH_*.json
+	PYTHONPATH=src $(PYTHON) -m repro check .chaos-smoke/seed*/BENCH_*.json
 	rm -rf .chaos-smoke
 
 # Cross-run report smoke: three seeded smoke benches into a scratch runs
@@ -137,14 +136,14 @@ report-smoke:
 			--no-bench-file || exit 1; \
 		sleep 1; \
 	done
-	$(PYTHON) tools/check_events_jsonl.py .report-smoke/runs/*/events.jsonl
+	PYTHONPATH=src $(PYTHON) -m repro check .report-smoke/runs/*/events.jsonl
 	PYTHONPATH=src $(PYTHON) -m repro runs index --runs-dir .report-smoke/runs
 	PYTHONPATH=src $(PYTHON) -m repro runs list --runs-dir .report-smoke/runs
 	PYTHONPATH=src $(PYTHON) -m repro runs trend --scenario solver-exact \
 		--runs-dir .report-smoke/runs
 	PYTHONPATH=src $(PYTHON) -m repro report --html \
 		-o .report-smoke/report.html --runs-dir .report-smoke/runs
-	$(PYTHON) tools/check_report_html.py .report-smoke/report.html
+	PYTHONPATH=src $(PYTHON) -m repro check .report-smoke/report.html
 	rm -rf .report-smoke
 
 # Determinism gate for the parallel solve service (docs/PARALLEL.md):
@@ -170,7 +169,8 @@ parallel-smoke:
 			--out-dir .parallel-smoke/$$leg \
 			--runs-dir .parallel-smoke/$$leg/runs || exit 1; \
 	done
-	$(PYTHON) tools/check_events_jsonl.py .parallel-smoke/*/runs/*/events.jsonl
+	PYTHONPATH=src $(PYTHON) -m repro check \
+		.parallel-smoke/*/runs/*/events.jsonl
 	$(PYTHON) tools/check_parallel_smoke.py .parallel-smoke
 	rm -rf .parallel-smoke
 

@@ -70,6 +70,13 @@ Commands
     Render the self-contained cross-run HTML dashboard
     (:mod:`repro.obs.report_html`): run overview with artifact links plus
     per-scenario trend sparklines.
+``check FILE... [--baseline BASE | --write-baseline BASE]``
+    Validate artifacts by kind (BENCH json, ``events.jsonl``, Chrome
+    trace, ``plans.jsonl`` or ``explain --json``, HTML report); with
+    ``--baseline``, gate them against a committed bench or plan baseline
+    (:mod:`repro.obs.verdict`); with ``--write-baseline``, regenerate the
+    plan baseline.  Exit 0 ok, 1 problems or regressions, 2 unreadable
+    or unknown input, usage errors, or a mode mismatch.
 ``serve [--port P | --unix PATH] [--jobs N] [--cache [PATH]] [...]``
     Run the persistent solve server (:mod:`repro.server`): concurrent
     solve/plan requests over newline-delimited JSON, one shared worker
@@ -688,6 +695,42 @@ def _registry_for(args: argparse.Namespace):
     return registry
 
 
+def _tolerance(args: argparse.Namespace) -> float:
+    """``--tolerance``, defaulting to the perf gate's (:mod:`repro.obs.verdict`)."""
+    from repro.obs.verdict import DEFAULT_TOLERANCE
+
+    return DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
+
+
+def _utc(created_unix: float | None) -> str:
+    import time as _time
+
+    if created_unix is None:
+        return "-"
+    return _time.strftime("%Y-%m-%d %H:%M:%S", _time.gmtime(created_unix))
+
+
+def _trend_table(points: list[dict], column: str, value, title: str) -> str:
+    """One row per trend point: provenance, ``value(point)``, verdict."""
+    from repro.analysis.report import Table
+
+    table = Table(
+        ["run", "created (UTC)", "commit", column, "vs prev", "verdict"], title=title
+    )
+    for point in points:
+        table.add_row(
+            [
+                point["run_id"],
+                _utc(point["created_unix"]),
+                point["git_sha"][:10],
+                value(point),
+                "-" if point["ratio"] is None else f"{point['ratio']:.2f}x",
+                point["verdict"],
+            ]
+        )
+    return table.render()
+
+
 def _cmd_runs_index(args: argparse.Namespace) -> int:
     from repro.obs.registry import open_registry
 
@@ -705,8 +748,6 @@ def _cmd_runs_index(args: argparse.Namespace) -> int:
 
 
 def _cmd_runs_list(args: argparse.Namespace) -> int:
-    import time as _time
-
     from repro.analysis.report import Table
 
     registry = _registry_for(args)
@@ -719,18 +760,11 @@ def _cmd_runs_list(args: argparse.Namespace) -> int:
         title=f"runs in {args.runs_dir}/",
     )
     for run in indexed:
-        created = (
-            "-"
-            if run["created_unix"] is None
-            else _time.strftime(
-                "%Y-%m-%d %H:%M:%S", _time.gmtime(run["created_unix"])
-            )
-        )
         sha = run["git_sha"]
         table.add_row(
             [
                 run["run_id"],
-                created,
+                _utc(run["created_unix"]),
                 sha[:10] + ("-dirty" if sha.endswith("-dirty") else ""),
                 run["seed"] if run["seed"] is not None else "-",
                 run["mode"] or "-",
@@ -804,17 +838,20 @@ def _cmd_runs_compare(args: argparse.Namespace) -> int:
                 f"error: no run {run_id!r} under {args.runs_dir}/", file=sys.stderr
             )
             return 2
-    from repro.obs.registry import DEFAULT_TOLERANCE
+    from repro.obs.verdict import BAD_VERDICTS, ModeMismatch
 
-    tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
-    rows = registry.compare(args.run_a, args.run_b, tolerance=tolerance)
+    try:
+        rows = registry.compare(args.run_a, args.run_b, tolerance=_tolerance(args))
+    except ModeMismatch as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     table = Table(
         ["scenario", "a best ms", "b best ms", "ratio", "verdict"],
         title=f"{args.run_a} -> {args.run_b}",
     )
     regressions = 0
     for row in rows:
-        if row["verdict"] in ("REGRESSION", "FAILED", "MISSING"):
+        if row["verdict"] in BAD_VERDICTS:
             regressions += 1
         table.add_row(
             [
@@ -833,10 +870,6 @@ def _cmd_runs_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_runs_trend(args: argparse.Namespace) -> int:
-    import time as _time
-
-    from repro.analysis.report import Table
-
     registry = _registry_for(args)
     scenario_names = registry.scenario_names()
     if args.scenario not in scenario_names:
@@ -847,48 +880,24 @@ def _cmd_runs_trend(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    from repro.obs.registry import DEFAULT_TOLERANCE
-
-    tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
     points = registry.trend(
         args.scenario,
         metric=f"{args.metric}_ns",
-        tolerance=tolerance,
+        tolerance=_tolerance(args),
         limit=args.limit,
     )
-    table = Table(
-        ["run", "created (UTC)", "commit", f"{args.metric} ms", "vs prev", "verdict"],
-        title=f"trend: {args.scenario} ({len(points)} run(s))",
+    print(
+        _trend_table(
+            points,
+            f"{args.metric} ms",
+            lambda p: "-" if p["value_ns"] is None else round(p["value_ns"] / 1e6, 3),
+            f"trend: {args.scenario} ({len(points)} run(s))",
+        )
     )
-    for point in points:
-        created = (
-            "-"
-            if point["created_unix"] is None
-            else _time.strftime(
-                "%Y-%m-%d %H:%M:%S", _time.gmtime(point["created_unix"])
-            )
-        )
-        table.add_row(
-            [
-                point["run_id"],
-                created,
-                point["git_sha"][:10],
-                "-"
-                if point["value_ns"] is None
-                else round(point["value_ns"] / 1e6, 3),
-                "-" if point["ratio"] is None else f"{point['ratio']:.2f}x",
-                point["verdict"],
-            ]
-        )
-    print(table.render())
     return 0
 
 
 def _cmd_runs_plan_quality(args: argparse.Namespace) -> int:
-    import time as _time
-
-    from repro.analysis.report import Table
-
     registry = _registry_for(args)
     predicates = registry.plan_predicates()
     if not predicates:
@@ -902,43 +911,24 @@ def _cmd_runs_plan_quality(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    from repro.obs.registry import DEFAULT_TOLERANCE
-
-    tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
     selected = [args.predicate] if args.predicate is not None else predicates
     for index, predicate in enumerate(selected):
         points = registry.plan_trend(
             predicate,
             metric=args.metric,
-            tolerance=tolerance,
+            tolerance=_tolerance(args),
             limit=args.limit,
         )
-        table = Table(
-            ["run", "created (UTC)", "commit", args.metric, "vs prev", "verdict"],
-            title=f"plan quality: {predicate} / {args.metric} "
-            f"({len(points)} run(s))",
-        )
-        for point in points:
-            created = (
-                "-"
-                if point["created_unix"] is None
-                else _time.strftime(
-                    "%Y-%m-%d %H:%M:%S", _time.gmtime(point["created_unix"])
-                )
-            )
-            table.add_row(
-                [
-                    point["run_id"],
-                    created,
-                    point["git_sha"][:10],
-                    "-" if point["value"] is None else round(point["value"], 4),
-                    "-" if point["ratio"] is None else f"{point['ratio']:.2f}x",
-                    point["verdict"],
-                ]
-            )
         if index:
             print()
-        print(table.render())
+        print(
+            _trend_table(
+                points,
+                args.metric,
+                lambda p: "-" if p["value"] is None else round(p["value"], 4),
+                f"plan quality: {predicate} / {args.metric} ({len(points)} run(s))",
+            )
+        )
     return 0
 
 
@@ -1088,18 +1078,222 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.obs.registry import DEFAULT_TOLERANCE
     from repro.obs.report_html import write_report
 
     registry = _registry_for(args)
     runs = registry.runs()
-    tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
-    path = write_report(registry, args.output, tolerance=tolerance)
+    path = write_report(registry, args.output, tolerance=_tolerance(args))
     print(
         f"report written to {path} ({len(runs)} run(s), "
         f"{len(registry.scenario_names())} scenario(s))"
     )
     return 0
+
+
+def _load_artifact(path) -> tuple[str | None, str]:
+    """``(kind, text)`` of one artifact file, the kind read from its
+    content or suffix (None when it is no artifact ``repro check``
+    knows)."""
+    import json as _json
+
+    from repro.obs.planquality import PLAN_SCHEMA
+
+    text = path.read_text()
+    if path.suffix == ".html":
+        return "report", text
+    try:
+        doc, whole = _json.loads(text), True
+    except ValueError:  # JSONL: its first record tells plans from events
+        try:
+            doc, whole = _json.loads(text.lstrip().split("\n", 1)[0]), False
+        except ValueError:
+            return None, text
+    if whole and isinstance(doc, list):
+        return "trace", text
+    if not isinstance(doc, dict):
+        return None, text
+    if whole and "traceEvents" in doc:
+        return "trace", text
+    if whole and str(doc.get("schema")).startswith("repro-bench/"):
+        return "bench", text
+    if whole and "records" in doc:
+        return "explain", text
+    if doc.get("schema") == PLAN_SCHEMA:
+        return "plans", text
+    return ("events" if "seq" in doc else None), text
+
+
+def _artifact_validators() -> dict:
+    """Artifact kind -> ``validator(text, path)``; each validator lives
+    next to the code that writes that artifact."""
+    import json as _json
+
+    from repro.obs import events, planquality
+    from repro.obs.bench import validate_bench_payload
+    from repro.obs.export import validate_chrome_trace
+    from repro.obs.report_html import validate_report
+
+    def parsed(validate):
+        return lambda text, path: validate(_json.loads(text), path)
+
+    return {
+        "bench": parsed(validate_bench_payload),
+        "events": events.validate_jsonl,
+        "trace": parsed(validate_chrome_trace),
+        "plans": planquality.validate_jsonl,
+        "explain": parsed(planquality.validate_explain_document),
+        "report": validate_report,
+    }
+
+
+def _plan_calibration(loaded: list) -> list[dict]:
+    import json as _json
+
+    from repro.obs.planquality import calibration
+
+    records = []
+    for kind, text in loaded:
+        if kind == "explain":
+            records.extend(_json.loads(text)["records"])
+        else:
+            lines = [line for line in text.splitlines() if line.strip()]
+            records.extend(_json.loads(line) for line in lines)
+    return calibration(records)
+
+
+def _check_bench_gate(target: str, baseline: dict, loaded: list) -> int:
+    import json as _json
+
+    from repro.analysis.report import Table
+    from repro.obs.registry import scenarios_from_bench
+    from repro.obs.verdict import BAD_VERDICTS, DEFAULT_TOLERANCE, compare_scenarios
+
+    def ms(value):
+        return "-" if value is None else f"{value / 1e6:.3f}"
+
+    print(f"bench diff against {target}, tolerance {DEFAULT_TOLERANCE:.0%}")
+    base_rows = scenarios_from_bench(baseline, [])
+    regressions = []
+    for _kind, text in loaded:
+        payload = _json.loads(text)
+        new_rows = scenarios_from_bench(payload, [])
+        errors = {s["scenario"]: s["error"] or "no error recorded" for s in new_rows}
+        table = Table(["scenario", "base best ms", "new best ms", "ratio", "verdict"])
+        modes = (baseline.get("mode"), payload.get("mode"))
+        for row in compare_scenarios(base_rows, new_rows, modes=modes):
+            name, verdict = row["scenario"], row["verdict"]
+            ratio = "-" if row["ratio"] is None else f"{row['ratio']:.2f}x"
+            table.add_row([name, ms(row["a_ns"]), ms(row["b_ns"]), ratio, verdict])
+            if verdict == "MISSING":
+                regressions.append(f"{name}: present in baseline but not in candidate")
+            elif verdict == "FAILED":
+                regressions.append(
+                    f"{name}: ok in baseline but failed in candidate ({errors[name]})"
+                )
+            elif verdict in BAD_VERDICTS:
+                regressions.append(
+                    f"{name}: best {ms(row['b_ns'])} ms vs baseline "
+                    f"{ms(row['a_ns'])} ms ({ratio})"
+                )
+        print(table.render())
+    for message in regressions:
+        print(f"regression: {message}", file=sys.stderr)
+    if regressions:
+        print(f"{len(regressions)} regression(s)", file=sys.stderr)
+        return 1
+    print("no regressions")
+    return 0
+
+
+def _check_plan_gate(baseline: dict, loaded: list) -> int:
+    from repro.analysis.report import Table
+    from repro.obs.verdict import BAD_VERDICTS, DEFAULT_TOLERANCE, compare_calibration
+
+    tolerance = baseline.get("tolerance", DEFAULT_TOLERANCE)
+    rows = compare_calibration(
+        baseline["predicates"], _plan_calibration(loaded), tolerance
+    )
+    table = Table(["predicate", "metric", "base", "new", "ratio", "verdict"])
+    for row in rows:
+        table.add_row(
+            [row["predicate"], row["metric"]]
+            + ["-" if row[k] is None else f"{row[k]:.4f}" for k in ("base", "new")]
+            + ["-" if row["ratio"] is None else f"{row['ratio']:.2f}x", row["verdict"]]
+        )
+    print(table.render())
+    regressions = sum(row["verdict"] in BAD_VERDICTS for row in rows)
+    if regressions:
+        print(f"{regressions} plan-quality regression(s)", file=sys.stderr)
+        return 1
+    print(f"plan quality within tolerance ({tolerance:.0%})")
+    return 0
+
+
+def _cmd_check(args: argparse.Namespace) -> int:
+    import json as _json
+    from pathlib import Path
+
+    from repro.obs.planquality import PLAN_BASELINE_SCHEMA, calibration_baseline
+    from repro.obs.verdict import DEFAULT_TOLERANCE, ModeMismatch
+
+    validators = _artifact_validators()
+    status, loaded = 0, []
+    for name in args.files:
+        try:
+            kind, text = _load_artifact(Path(name))
+        except OSError as exc:
+            print(f"{name}: unreadable ({exc})", file=sys.stderr)
+            status = 2
+            continue
+        if kind is None:
+            expected = ", ".join(validators)
+            print(f"{name}: unknown artifact kind ({expected})", file=sys.stderr)
+            status = 2
+            continue
+        problems = validators[kind](text, name)
+        if problems:
+            print("\n".join(problems), file=sys.stderr)
+            status = max(status, 1)
+        else:
+            print(f"{name}: ok ({kind})")
+        loaded.append((kind, text))
+    target = args.baseline or args.write_baseline
+    if target is None or status:
+        return status if target is None else 2
+    kinds = {kind for kind, _text in loaded}
+    plans_only = kinds <= {"plans", "explain"}
+    if args.write_baseline:
+        rows = _plan_calibration(loaded) if plans_only else []
+        if not rows:
+            print("error: --write-baseline needs plan records", file=sys.stderr)
+            return 2
+        document = calibration_baseline(rows, DEFAULT_TOLERANCE)
+        Path(target).write_text(_json.dumps(document, indent=2, sort_keys=True) + "\n")
+        print(f"baseline for {len(rows)} predicate class(es) written to {target}")
+        return 0
+    try:
+        baseline = _json.loads(Path(target).read_text())
+    except (OSError, ValueError) as exc:
+        print(f"error: {target}: unreadable ({exc})", file=sys.stderr)
+        return 2
+    if not isinstance(baseline, dict):
+        baseline = {}
+    schema = str(baseline.get("schema"))
+    try:
+        if schema == PLAN_BASELINE_SCHEMA and plans_only:
+            if isinstance(baseline.get("predicates"), dict):
+                return _check_plan_gate(baseline, loaded)
+        elif schema.startswith("repro-bench/") and kinds == {"bench"}:
+            return _check_bench_gate(target, baseline, loaded)
+    except ModeMismatch as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(
+        f"error: {target} ({schema}) is not a repro-bench or "
+        f"{PLAN_BASELINE_SCHEMA} baseline for {', '.join(sorted(kinds))} files",
+        file=sys.stderr,
+    )
+    return 2
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -1706,6 +1900,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="regression threshold (default: the perf-gate threshold)",
     )
     report.set_defaults(func=_cmd_report)
+
+    check = commands.add_parser(
+        "check",
+        help="validate artifacts by kind, or gate them against a baseline",
+    )
+    check.add_argument("files", nargs="+", metavar="FILE")
+    check_mode = check.add_mutually_exclusive_group()
+    check_mode.add_argument(
+        "--baseline",
+        metavar="BASE",
+        help="gate the files against this repro-bench or "
+        "repro-plan-baseline/v1 baseline",
+    )
+    check_mode.add_argument(
+        "--write-baseline",
+        metavar="BASE",
+        help="write the files' plan calibration as a new plan baseline",
+    )
+    check.set_defaults(func=_cmd_check)
 
     serve = commands.add_parser(
         "serve", help="run the persistent solve server (NDJSON protocol)"

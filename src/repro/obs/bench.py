@@ -37,6 +37,7 @@ from repro.runtime.budget import Budget, use_budget
 # v2 (see docs/ROBUSTNESS.md): per-scenario status/attempts/error fields
 # and structured failure records instead of aborting the whole run.
 BENCH_SCHEMA = "repro-bench/v2"
+BENCH_SCHEMAS = ("repro-bench/v1", BENCH_SCHEMA)
 
 # One wall-clock budget per scenario attempt, installed ambiently so the
 # solving stack degrades (it is cooperative, not preemptive).
@@ -738,3 +739,116 @@ def run_bench(
         publish_root.mkdir(parents=True, exist_ok=True)
         obs_manifest.write_atomic(publish_root / filename, payload_json)
     return report, run_dir, bench_path
+
+
+# ---------------------------------------------------------------------------
+# Schema check for BENCH_*.json payloads (``repro check``).
+# ---------------------------------------------------------------------------
+
+_TOP_LEVEL_FIELDS = {
+    "schema": str,
+    "run_id": str,
+    "mode": str,
+    "seed": int,
+    "git_sha": str,
+    "created_unix": (int, float),
+    "date": str,
+    "scenarios": list,
+}
+_SCENARIO_FIELDS = {
+    "name": str,
+    "repeats": int,
+    "wall_ns": dict,
+    "results": dict,
+    "counters": dict,
+}
+_SCENARIO_FIELDS_V2 = {**_SCENARIO_FIELDS, "status": str, "attempts": int}
+_WALL_FIELDS = {"best": (int, float), "mean": (int, float), "all": list}
+
+
+def _check_fields(obj: dict, spec: dict, context: str, problems: list[str]) -> None:
+    for name, expected in spec.items():
+        if name not in obj:
+            problems.append(f"{context}: missing field {name!r}")
+        elif not isinstance(obj[name], expected):
+            problems.append(
+                f"{context}: field {name!r} has type "
+                f"{type(obj[name]).__name__}, expected {expected}"
+            )
+
+
+def validate_bench_payload(payload: object, context: str = "BENCH") -> list[str]:
+    """All schema problems in one parsed ``repro-bench/v1|v2`` payload
+    (empty = valid).
+
+    Every perf-trajectory point must carry provenance (git SHA, seed,
+    mode) and per-scenario timings with positive repeat counts.  v2 adds
+    per-scenario ``status`` (``ok`` | ``failed``), ``attempts`` and
+    ``error``: a failed scenario must carry a non-empty error and may
+    have empty timings, an ok one must have at least one timing sample,
+    and the top-level ``failed`` count must match.
+    """
+    if not isinstance(payload, dict):
+        return [f"{context}: top level must be an object"]
+    problems: list[str] = []
+    _check_fields(payload, _TOP_LEVEL_FIELDS, context, problems)
+    schema = payload.get("schema")
+    if schema not in (None, *BENCH_SCHEMAS):
+        problems.append(
+            f"{context}: schema is {schema!r}, expected one of {BENCH_SCHEMAS}"
+        )
+    is_v2 = schema == BENCH_SCHEMA
+    if payload.get("mode") not in (None, "smoke", "full"):
+        problems.append(f"{context}: mode must be 'smoke' or 'full'")
+    failed_count = 0
+    scenarios = payload.get("scenarios")
+    if isinstance(scenarios, list) and not scenarios:
+        problems.append(f"{context}: scenarios must be non-empty")
+    for position, entry in enumerate(scenarios if isinstance(scenarios, list) else []):
+        where = f"{context}.scenarios[{position}]"
+        if not isinstance(entry, dict):
+            problems.append(f"{where}: must be an object")
+            continue
+        _check_fields(
+            entry, _SCENARIO_FIELDS_V2 if is_v2 else _SCENARIO_FIELDS, where, problems
+        )
+        if isinstance(entry.get("repeats"), int) and entry["repeats"] < 1:
+            problems.append(f"{where}: repeats must be >= 1")
+        status = entry.get("status", "ok") if is_v2 else "ok"
+        if is_v2:
+            if status not in ("ok", "failed"):
+                problems.append(f"{where}: status must be one of ('ok', 'failed')")
+            attempts = entry.get("attempts")
+            if isinstance(attempts, int) and attempts < 1:
+                problems.append(f"{where}: attempts must be >= 1")
+            error = entry.get("error")
+            if status == "failed":
+                failed_count += 1
+                if not isinstance(error, str) or not error:
+                    problems.append(
+                        f"{where}: failed scenario must carry a non-empty "
+                        "'error' string"
+                    )
+            elif error not in (None, ""):
+                problems.append(f"{where}: ok scenario must not carry an error")
+        wall = entry.get("wall_ns")
+        if isinstance(wall, dict):
+            _check_fields(wall, _WALL_FIELDS, f"{where}.wall_ns", problems)
+            timings = wall.get("all")
+            if isinstance(timings, list):
+                if not timings and status != "failed":
+                    problems.append(f"{where}.wall_ns.all: must be non-empty")
+                if any(not isinstance(t, (int, float)) or t < 0 for t in timings):
+                    problems.append(
+                        f"{where}.wall_ns.all: non-negative numbers only"
+                    )
+    if is_v2:
+        declared = payload.get("failed")
+        if not isinstance(declared, int):
+            problems.append(f"{context}: v2 payload must carry a 'failed' count")
+        elif declared != failed_count:
+            problems.append(
+                f"{context}: 'failed' is {declared}, but {failed_count} "
+                "scenario(s) have status 'failed'"
+            )
+    return problems

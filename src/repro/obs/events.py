@@ -47,8 +47,8 @@ from repro.obs import trace as obs_trace
 EVENTS_SCHEMA = "repro-events/v1"
 
 # -- event vocabulary -------------------------------------------------------
-# The closed set of event names the repo emits; tools/check_events_jsonl.py
-# warns on names outside it, so additions belong here (and in
+# The closed set of event names the repo emits; ``repro check``
+# rejects names outside it, so additions belong here (and in
 # docs/OBSERVABILITY.md).
 
 EVENT_RUN_START = "run.start"
@@ -220,7 +220,7 @@ def to_jsonl() -> str:
 
 
 # ---------------------------------------------------------------------------
-# Validation (shared by the test-suite and tools/check_events_jsonl.py).
+# Validation (shared by the test-suite and ``repro check``).
 # ---------------------------------------------------------------------------
 
 _REQUIRED_FIELDS = ("seq", "name", "ts_unix", "run_id", "span_id", "attrs")

@@ -12,8 +12,8 @@ Three interchange formats for one recorded trace:
   the lossless format for ad-hoc tooling.
 
 :func:`validate_chrome_trace` is the structural schema check CI and the
-test-suite run over exported traces (mirroring
-``tools/check_bench_json.py`` for bench files): every event must be a
+test-suite run over exported traces (``repro check trace.json``, as
+for every other artifact): every event must be a
 complete event carrying a non-negative ``dur`` or one half of a
 correctly nested ``B``/``E`` pair.
 """

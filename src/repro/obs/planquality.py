@@ -27,7 +27,9 @@ This module makes plan quality a first-class observable:
   registry, ``repro runs plan-quality``, and the HTML report;
 - :func:`validate_records` / :func:`validate_jsonl` /
   :func:`validate_explain_document` — the structural schema shared by
-  the test-suite and ``tools/check_plan_quality.py``.
+  the test-suite and ``repro check``;
+- :func:`calibration_baseline` — the committed ``repro-plan-baseline/v1``
+  document the plan gate (``repro check --baseline``) compares against.
 
 Like every collector in :mod:`repro.obs`, the log is **off by default**
 and recording is behaviour-neutral: plans and results are identical with
@@ -365,8 +367,32 @@ def calibration(
     return rows
 
 
+PLAN_BASELINE_SCHEMA = "repro-plan-baseline/v1"
+# The calibration scalars a plan baseline keeps per predicate class.
+_BASELINE_FIELDS = (
+    "plans", "q_p50", "q_p90", "q_max", "misestimates", "choice_accuracy",
+)
+
+
+def calibration_baseline(
+    rows: list[dict[str, Any]], tolerance: float
+) -> dict[str, Any]:
+    """The ``repro-plan-baseline/v1`` document for :func:`calibration`
+    rows: ``repro check --write-baseline`` writes it, ``repro check
+    --baseline`` gates fresh calibration against it with its own
+    ``tolerance``."""
+    return {
+        "schema": PLAN_BASELINE_SCHEMA,
+        "tolerance": tolerance,
+        "predicates": {
+            row["predicate"]: {name: row[name] for name in _BASELINE_FIELDS}
+            for row in rows
+        },
+    }
+
+
 # ---------------------------------------------------------------------------
-# Validation (shared by the test-suite and tools/check_plan_quality.py).
+# Validation (shared by the test-suite and ``repro check``).
 # ---------------------------------------------------------------------------
 
 _REQUIRED_FIELDS = (

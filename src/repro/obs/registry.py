@@ -26,14 +26,14 @@ mid-write, a corrupt manifest) index with ``status='partial'`` instead of
 crashing the scan.
 
 Trend analytics (:meth:`RunRegistry.trend`) compute per-scenario timing
-series across runs and flag regressions with the same threshold as the
-perf gate (``tools/bench_diff.py``), so "REGRESSION" means one thing
-across CI, ``repro runs trend``, and the HTML report.
+series across runs and flag regressions with the perf gate's rule and
+tolerance (:mod:`repro.obs.verdict`), so "REGRESSION" means one thing
+across ``repro check --baseline``, ``repro runs trend``, and the HTML
+report.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import sqlite3
 from dataclasses import dataclass, field
@@ -41,6 +41,12 @@ from pathlib import Path
 from typing import Any
 
 from repro.obs import planquality
+from repro.obs.verdict import (
+    DEFAULT_TOLERANCE,
+    comparable,
+    compare_scenarios,
+    verdict,
+)
 
 REGISTRY_SCHEMA = "repro-registry/v1"
 DB_FILENAME = "registry.db"
@@ -68,24 +74,6 @@ STATUS_OK = "ok"
 STATUS_FAILED = "failed"
 STATUS_PARTIAL = "partial"
 
-
-def _load_bench_diff_tolerance() -> float:
-    """The perf gate's slowdown threshold, imported from
-    ``tools/bench_diff.py`` when the checkout is available (installed
-    packages without the tools tree fall back to the same literal)."""
-    path = Path(__file__).resolve().parents[3] / "tools" / "bench_diff.py"
-    try:
-        spec = importlib.util.spec_from_file_location("_repro_bench_diff", path)
-        if spec is None or spec.loader is None:
-            return 0.25
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return float(module.DEFAULT_TOLERANCE)
-    except (OSError, AttributeError, TypeError, ValueError, SyntaxError):
-        return 0.25
-
-
-DEFAULT_TOLERANCE = _load_bench_diff_tolerance()
 
 _SCHEMA_SQL = """
 CREATE TABLE IF NOT EXISTS runs (
@@ -175,8 +163,10 @@ def _read_json(path: Path, problems: list[str]) -> Any | None:
         return None
 
 
-def _scenarios_from_bench(payload: Any, problems: list[str]) -> list[dict[str, Any]]:
-    """Scenario rows from a ``bench.json`` (a ``BenchReport.as_dict``)."""
+def scenarios_from_bench(payload: Any, problems: list[str]) -> list[dict[str, Any]]:
+    """Scenario rows from a ``bench.json`` or ``BENCH_*.json`` payload
+    (a ``BenchReport.as_dict``), in the shape :meth:`RunRegistry.compare`
+    reads; v1 payloads carry no status and count as ok."""
     rows: list[dict[str, Any]] = []
     if not isinstance(payload, dict) or not isinstance(
         payload.get("scenarios"), list
@@ -195,6 +185,7 @@ def _scenarios_from_bench(payload: Any, problems: list[str]) -> list[dict[str, A
                 "mean_ns": _as_float(wall.get("mean")),
                 "repeats": entry.get("repeats"),
                 "results": entry.get("results") or {},
+                "error": entry.get("error"),
             }
         )
     return rows
@@ -328,7 +319,7 @@ def parse_run_dir(run_dir: str | Path) -> IndexedRun:
 
     bench = _read_json(run_dir / "bench.json", problems)
     if bench is not None:
-        run.scenarios = _scenarios_from_bench(bench, problems)
+        run.scenarios = scenarios_from_bench(bench, problems)
     else:
         run.scenarios = _scenarios_from_tables(
             _read_json(run_dir / "tables.json", problems)
@@ -345,6 +336,39 @@ def parse_run_dir(run_dir: str | Path) -> IndexedRun:
     else:
         run.status = STATUS_OK
     return run
+
+
+def _flag_series(
+    points: list[dict[str, Any]],
+    key: str,
+    tolerance: float,
+    higher_is_worse: bool = True,
+    improved: str = "better",
+    no_value: str = "no-data",
+) -> list[dict[str, Any]]:
+    """Give each point a ``ratio`` and ``verdict`` against the previous
+    point that has a value and a comparable mode; the first such point is
+    the ``baseline``."""
+    earlier: list[dict[str, Any]] = []
+    for point in points:
+        point["ratio"] = None
+        value = point[key]
+        if value is None:
+            failed = point.get("status", STATUS_OK) != STATUS_OK
+            point["verdict"] = "FAILED" if failed else no_value
+            continue
+        previous = next(
+            (p[key] for p in reversed(earlier) if comparable(p["mode"], point["mode"])),
+            None,
+        )
+        if previous is None or previous <= 0:
+            point["verdict"] = "baseline"
+        else:
+            point["ratio"], point["verdict"] = verdict(
+                previous, value, tolerance, higher_is_worse, improved
+            )
+        earlier.append(point)
+    return points
 
 
 class RunRegistry:
@@ -583,26 +607,31 @@ class RunRegistry:
         """
         if metric not in ("best_ns", "mean_ns"):
             raise ValueError(f"metric must be best_ns or mean_ns, got {metric!r}")
-        points = []
-        for run in self.runs():
-            for entry in self.scenarios_for(run["run_id"]):
-                if entry["scenario"] != scenario:
-                    continue
-                points.append(
-                    {
-                        "run_id": run["run_id"],
-                        "git_sha": run["git_sha"],
-                        "created_unix": run["created_unix"],
-                        "mode": run["mode"],
-                        "status": entry["status"],
-                        "value_ns": entry[metric]
-                        if entry["status"] == STATUS_OK
-                        else None,
-                    }
-                )
-        if limit is not None:
-            points = points[-limit:]
-        return points
+        return self._series(
+            self.scenarios_for,
+            "scenario",
+            scenario,
+            limit,
+            lambda entry: {
+                "status": entry["status"],
+                "value_ns": entry[metric] if entry["status"] == STATUS_OK else None,
+            },
+        )
+
+    def _series(self, rows_for, key: str, name: str, limit: int | None, extra):
+        """One point per run row (``rows_for(run_id)``) whose ``key`` is
+        ``name``: run provenance plus ``extra(row)``, oldest first, only
+        the newest ``limit``."""
+        points = [
+            {
+                **{f: run[f] for f in ("run_id", "git_sha", "created_unix", "mode")},
+                **extra(row),
+            }
+            for run in self.runs()
+            for row in rows_for(run["run_id"])
+            if row[key] == name
+        ]
+        return points if limit is None else points[-limit:]
 
     # -- analytics -----------------------------------------------------
     def trend(
@@ -614,35 +643,16 @@ class RunRegistry:
     ) -> list[dict[str, Any]]:
         """The scenario series with per-point regression verdicts.
 
-        Each point is compared against the **previous ok point** with the
-        perf gate's rule: ratio above ``1 + tolerance`` is a REGRESSION,
-        below ``1 - tolerance`` is faster, a failed point after an ok one
-        is FAILED.  The first comparable point is the baseline.
+        Each point is compared against the **previous ok point of a
+        comparable mode** with the perf gate's rule
+        (:func:`repro.obs.verdict.verdict`): REGRESSION, faster or ok; a
+        failed point is FAILED.  The first comparable point is the
+        baseline.
         """
         points = self.series(scenario, metric=metric, limit=limit)
-        previous: float | None = None
-        for point in points:
-            value = point["value_ns"]
-            if value is None:
-                point["ratio"] = None
-                point["verdict"] = (
-                    "FAILED" if point["status"] != STATUS_OK else "no-timing"
-                )
-                continue
-            if previous is None or previous <= 0:
-                point["ratio"] = None
-                point["verdict"] = "baseline"
-            else:
-                ratio = value / previous
-                point["ratio"] = ratio
-                if ratio > 1.0 + tolerance:
-                    point["verdict"] = "REGRESSION"
-                elif ratio < 1.0 - tolerance:
-                    point["verdict"] = "faster"
-                else:
-                    point["verdict"] = "ok"
-            previous = value
-        return points
+        return _flag_series(
+            points, "value_ns", tolerance, improved="faster", no_value="no-timing"
+        )
 
     def plan_series(
         self,
@@ -656,24 +666,13 @@ class RunRegistry:
             raise ValueError(
                 f"metric must be one of {PLAN_METRICS}, got {metric!r}"
             )
-        points = []
-        for run in self.runs():
-            for row in self.plan_quality_for(run["run_id"]):
-                if row["predicate"] != predicate:
-                    continue
-                points.append(
-                    {
-                        "run_id": run["run_id"],
-                        "git_sha": run["git_sha"],
-                        "created_unix": run["created_unix"],
-                        "mode": run["mode"],
-                        "plans": row["plans"],
-                        "value": row[metric],
-                    }
-                )
-        if limit is not None:
-            points = points[-limit:]
-        return points
+        return self._series(
+            self.plan_quality_for,
+            "predicate",
+            predicate,
+            limit,
+            lambda row: {"plans": row["plans"], "value": row[metric]},
+        )
 
     def plan_trend(
         self,
@@ -684,39 +683,15 @@ class RunRegistry:
     ) -> list[dict[str, Any]]:
         """The plan-quality series with per-point regression verdicts.
 
-        Same vocabulary and tolerance as the perf gate: a point whose
-        ratio against the previous comparable point moves past the
-        tolerance *in the bad direction* is a REGRESSION — and the bad
-        direction flips for ``choice_accuracy`` (shrinks when the
-        planner miscalibrates) versus the q-error metrics (grow).
+        Same rule and tolerance as the perf gate, with ``better`` for an
+        improvement; the bad direction flips for ``choice_accuracy``
+        (shrinks when the planner miscalibrates) versus the q-error
+        metrics (grow).
         """
         points = self.plan_series(predicate, metric=metric, limit=limit)
-        higher_is_worse = metric != "choice_accuracy"
-        previous: float | None = None
-        for point in points:
-            value = point["value"]
-            if value is None:
-                point["ratio"] = None
-                point["verdict"] = "no-data"
-                continue
-            if previous is None or previous <= 0:
-                point["ratio"] = None
-                point["verdict"] = "baseline"
-            else:
-                ratio = value / previous
-                point["ratio"] = ratio
-                worse = ratio > 1.0 + tolerance
-                better = ratio < 1.0 - tolerance
-                if not higher_is_worse:
-                    worse, better = better, worse
-                if worse:
-                    point["verdict"] = "REGRESSION"
-                elif better:
-                    point["verdict"] = "faster"
-                else:
-                    point["verdict"] = "ok"
-            previous = value
-        return points
+        return _flag_series(
+            points, "value", tolerance, higher_is_worse=metric != "choice_accuracy"
+        )
 
     def compare(
         self,
@@ -725,44 +700,18 @@ class RunRegistry:
         metric: str = "best_ns",
         tolerance: float = DEFAULT_TOLERANCE,
     ) -> list[dict[str, Any]]:
-        """Scenario-by-scenario comparison of two indexed runs.
-
-        The same verdict vocabulary as ``tools/bench_diff.py``: MISSING
-        (coverage loss), FAILED (ok -> failed), REGRESSION (past
-        tolerance), faster, ok.
-        """
-        a_map = {s["scenario"]: s for s in self.scenarios_for(run_a)}
-        b_map = {s["scenario"]: s for s in self.scenarios_for(run_b)}
-        rows = []
-        for name in sorted(a_map.keys() | b_map.keys()):
-            old, fresh = a_map.get(name), b_map.get(name)
-            row: dict[str, Any] = {
-                "scenario": name,
-                "a_ns": None if old is None else old[metric],
-                "b_ns": None if fresh is None else fresh[metric],
-                "ratio": None,
-            }
-            if old is None:
-                row["verdict"] = "new"
-            elif fresh is None:
-                row["verdict"] = "MISSING"
-            elif old["status"] != STATUS_OK:
-                row["verdict"] = "baseline-failed"
-            elif fresh["status"] != STATUS_OK:
-                row["verdict"] = "FAILED"
-            elif not row["a_ns"] or row["b_ns"] is None:
-                row["verdict"] = "no-timing"
-            else:
-                ratio = row["b_ns"] / row["a_ns"]
-                row["ratio"] = ratio
-                if ratio > 1.0 + tolerance:
-                    row["verdict"] = "REGRESSION"
-                elif ratio < 1.0 - tolerance:
-                    row["verdict"] = "faster"
-                else:
-                    row["verdict"] = "ok"
-            rows.append(row)
-        return rows
+        """Scenario-by-scenario comparison of two indexed runs
+        (:func:`repro.obs.verdict.compare_scenarios`, the perf gate's
+        comparator); raises :class:`~repro.obs.verdict.ModeMismatch` for
+        a smoke run against a full one."""
+        modes = tuple((self.run(r) or {}).get("mode") for r in (run_a, run_b))
+        return compare_scenarios(
+            self.scenarios_for(run_a),
+            self.scenarios_for(run_b),
+            tolerance=tolerance,
+            metric=metric,
+            modes=modes,
+        )
 
     def dump(self) -> dict[str, Any]:
         """A deterministic full-content view (the round-trip test's

@@ -26,6 +26,7 @@ from __future__ import annotations
 import html
 import os
 import time
+from html.parser import HTMLParser
 from pathlib import Path
 from typing import Any
 
@@ -60,7 +61,7 @@ td.num { text-align: right; font-variant-numeric: tabular-nums; }
 .status-partial { color: #b08000; }
 .verdict-REGRESSION, .verdict-FAILED, .verdict-MISSING
   { color: #cc3333; font-weight: bold; }
-.verdict-faster { color: #1a7f37; }
+.verdict-faster, .verdict-better { color: #1a7f37; }
 .muted { color: #777; } .spark { vertical-align: middle; }
 code { background: #f6f6f6; padding: 0 0.2em; }
 """
@@ -309,7 +310,7 @@ def render_report(
         f"<h1>{_esc(REPORT_TITLE)}</h1>",
         "<p class=\"muted\">Regression threshold: "
         f"{tolerance:.0%} over the previous ok run "
-        "(the <code>tools/bench_diff.py</code> perf-gate rule).</p>",
+        "(the <code>repro check --baseline</code> perf-gate rule).</p>",
     ]
     parts.extend(_overview_section(registry, link_root))
     for scenario in registry.scenario_names():
@@ -344,3 +345,84 @@ def write_report(
         render_report(registry, link_root=target.parent, tolerance=tolerance)
     )
     return target
+
+
+# ---------------------------------------------------------------------------
+# Structure and link check for a written report (``repro check``).
+# ---------------------------------------------------------------------------
+
+# Elements that never take a closing tag: HTML voids plus the SVG shapes
+# the sparklines emit as self-closing.
+_VOID = {
+    "area", "base", "br", "col", "embed", "hr", "img", "input", "link",
+    "meta", "source", "track", "wbr",
+    "circle", "ellipse", "line", "path", "polygon", "polyline", "rect",
+}
+
+
+class _ReportChecker(HTMLParser):
+    def __init__(self, context: str) -> None:
+        super().__init__()
+        self.context = context
+        self.stack: list[str] = []
+        self.counts: dict[str, int] = {}
+        self.hrefs: list[str] = []
+        self.ids: set[str] = set()
+        self.problems: list[str] = []
+
+    def handle_startendtag(self, tag, attrs):
+        self.counts[tag] = self.counts.get(tag, 0) + 1
+        if tag == "script":
+            self.problems.append(f"{self.context}: <script> tag present")
+        for key, value in attrs:
+            if key == "id" and value:
+                self.ids.add(value)
+            if key in ("href", "src") and value:
+                if value.startswith(("http://", "https://", "//")):
+                    self.problems.append(
+                        f"{self.context}: external URL {value!r} "
+                        "(report must be self-contained)"
+                    )
+                elif key == "href":
+                    self.hrefs.append(value)
+
+    def handle_starttag(self, tag, attrs):
+        self.handle_startendtag(tag, attrs)
+        if tag not in _VOID:
+            self.stack.append(tag)
+
+    def handle_endtag(self, tag):
+        if tag in _VOID:
+            return
+        if self.stack and self.stack[-1] == tag:
+            self.stack.pop()
+        else:
+            self.problems.append(f"{self.context}: unbalanced closing </{tag}>")
+
+
+def validate_report(text: str, path: str | Path) -> list[str]:
+    """All problems in the report ``text`` saved at ``path`` (empty =
+    valid): tags balance, exactly one ``<html>``/``<head>``/``<body>``, no
+    ``<script>`` and no external URLs (the page is self-contained), every
+    ``#fragment`` targets an ``id`` and every relative link resolves to a
+    file next to the report."""
+    checker = _ReportChecker(str(path))
+    checker.feed(text)
+    checker.close()
+    problems = checker.problems
+    if checker.stack:
+        problems.append(f"{path}: unclosed tags at EOF: {checker.stack}")
+    for tag in ("html", "head", "body"):
+        if checker.counts.get(tag, 0) != 1:
+            problems.append(
+                f"{path}: expected exactly one <{tag}>, "
+                f"found {checker.counts.get(tag, 0)}"
+            )
+    base = Path(path).resolve().parent
+    for href in checker.hrefs:
+        if href.startswith("#"):
+            if href[1:] not in checker.ids:
+                problems.append(f"{path}: dangling fragment link {href!r}")
+        elif not (base / href).is_file():
+            problems.append(f"{path}: broken link {href!r}")
+    return problems

@@ -24,7 +24,7 @@ Two layers:
   as Prometheus text format v0.0.4 (``# HELP`` / ``# TYPE`` comments,
   cumulative ``le`` buckets ending at ``+Inf``, ``_sum`` / ``_count``
   series), plus a parser and structural validator used by ``repro top``,
-  the test-suite, and ``tools/check_metrics_exposition.py``.
+  the test-suite, and the ``make telemetry-smoke`` gate.
 
 Log-spaced summary buckets convert directly to Prometheus histogram
 buckets: the per-bucket counts become cumulative counts at each

@@ -1,7 +1,7 @@
 """Clients for the solve server: one synchronous, one asyncio.
 
 :class:`ServeClient` is the workhorse for sequential callers — the
-``repro client`` CLI, the test-suite, and ``tools/check_serve_smoke.py``.
+``repro client`` CLI, the test-suite, and the ``make serve-smoke`` gate.
 It speaks over a raw socket (TCP or Unix) and, because the server may
 answer pipelined requests out of order, matches responses to requests by
 ``id``, parking strays until their request asks for them.

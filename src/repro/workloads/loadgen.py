@@ -262,7 +262,7 @@ def run_load(
     """Synchronous entry point: drive the load on a fresh event loop.
 
     Usable wherever the caller has no loop of its own — the bench
-    scenario, ``tools/check_serve_smoke.py``, and ``repro client
+    scenario, the ``make serve-smoke`` gate, and ``repro client
     --load`` all call this against a server running elsewhere (another
     thread or another process).
     """

@@ -4,7 +4,7 @@ Covers the structured :class:`PlanRecord` vertical: q-error math,
 serialization round-trips, golden EXPLAIN rendering, the executor's
 feedback loop (actuals, misestimate events, shadow-execution regret),
 calibration aggregation, and the validation helpers shared with
-``tools/check_plan_quality.py``.
+``repro check``.
 """
 
 import json

@@ -1,27 +1,20 @@
 """Tests for the bench harness (repro.obs.bench) and its CLI/schema tooling."""
 
 import json
-import pathlib
-import sys
 
 import pytest
 
 from repro import obs
 from repro.cli import main
-from repro.obs.bench import BENCH_SCHEMA, SCENARIOS, BenchConfig, run_bench
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent.parent
+from repro.obs.bench import (
+    BENCH_SCHEMA,
+    SCENARIOS,
+    BenchConfig,
+    run_bench,
+    validate_bench_payload,
+)
 
 SMOKE = BenchConfig(smoke=True, seed=0)
-
-
-def _load_checker():
-    sys.path.insert(0, str(ROOT / "tools"))
-    try:
-        import check_bench_json
-    finally:
-        sys.path.pop(0)
-    return check_bench_json
 
 
 class TestScenarios:
@@ -193,14 +186,12 @@ class TestSchemaChecker:
             runs_dir=tmp_path / "runs",
             out_dir=tmp_path,
         )
-        checker = _load_checker()
-        assert checker.validate_file(bench_path) == []
-        assert checker.main([str(bench_path)]) == 0
+        assert validate_bench_payload(json.loads(bench_path.read_text())) == []
+        assert main(["check", str(bench_path)]) == 0
 
     def test_corrupted_payloads_rejected(self, tmp_path):
-        checker = _load_checker()
-        assert checker.validate_bench_payload([]) != []
-        assert checker.validate_bench_payload({"schema": "other/v9"}) != []
+        assert validate_bench_payload([]) != []
+        assert validate_bench_payload({"schema": "other/v9"}) != []
         bad = {
             "schema": BENCH_SCHEMA,
             "run_id": "r",
@@ -211,13 +202,12 @@ class TestSchemaChecker:
             "date": "2026-01-01",
             "scenarios": [],
         }
-        problems = checker.validate_bench_payload(bad)
+        problems = validate_bench_payload(bad)
         assert any("mode" in p for p in problems)
         assert any("seed" in p for p in problems)
         assert any("scenarios" in p for p in problems)
 
     def test_negative_timings_rejected(self):
-        checker = _load_checker()
         payload = {
             "schema": BENCH_SCHEMA,
             "run_id": "r",
@@ -236,15 +226,14 @@ class TestSchemaChecker:
                 }
             ],
         }
-        problems = checker.validate_bench_payload(payload)
+        problems = validate_bench_payload(payload)
         assert any("non-negative" in p for p in problems)
 
-    def test_unreadable_file_reported(self, tmp_path):
-        checker = _load_checker()
+    def test_unreadable_file_reported(self, tmp_path, capsys):
         bad = tmp_path / "BENCH_bad.json"
         bad.write_text("{not json")
-        assert checker.validate_file(bad) != []
-        assert checker.main([str(bad)]) == 1
+        assert main(["check", str(bad)]) == 2
+        assert "unknown artifact kind" in capsys.readouterr().err
 
 
 class TestBatchScenarioJobsInvariance:

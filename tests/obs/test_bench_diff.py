@@ -1,22 +1,28 @@
-"""Tests for the bench regression gate (tools/bench_diff.py)."""
+"""Tests for the bench regression gate: the shared scenario comparator
+(:func:`repro.obs.verdict.compare_scenarios`) on BENCH payloads and
+``repro check --baseline``."""
 
 import copy
 import json
-import pathlib
-import sys
 
 import pytest
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent.parent
+from repro.cli import main
+from repro.obs.registry import scenarios_from_bench
+from repro.obs.verdict import BAD_VERDICTS, ModeMismatch, compare_scenarios
 
 
-def _load_differ():
-    sys.path.insert(0, str(ROOT / "tools"))
-    try:
-        import bench_diff
-    finally:
-        sys.path.pop(0)
-    return bench_diff
+def _diff(base, new, **kwargs):
+    """(verdicts by position, bad-verdict rows) of two BENCH payloads."""
+    rows = compare_scenarios(
+        scenarios_from_bench(base, []),
+        scenarios_from_bench(new, []),
+        modes=(base.get("mode"), new.get("mode")),
+        **kwargs,
+    )
+    return [row["verdict"] for row in rows], [
+        row for row in rows if row["verdict"] in BAD_VERDICTS
+    ]
 
 
 def _payload(scenarios, mode="smoke", schema="repro-bench/v2"):
@@ -26,6 +32,9 @@ def _payload(scenarios, mode="smoke", schema="repro-bench/v2"):
         "mode": mode,
         "seed": 0,
         "git_sha": "abc1234",
+        "created_unix": 0,
+        "date": "2026-01-01",
+        "failed": sum(s.get("status") == "failed" for s in scenarios),
         "scenarios": scenarios,
     }
 
@@ -33,12 +42,16 @@ def _payload(scenarios, mode="smoke", schema="repro-bench/v2"):
 def _scenario(name, best_ns, status="ok", **extra):
     scenario = {
         "name": name,
+        "repeats": 1,
         "status": status,
-        "wall_ns": {"best": best_ns, "mean": best_ns * 1.1},
+        "attempts": 1,
+        "wall_ns": {"best": best_ns, "mean": best_ns * 1.1, "all": [best_ns]},
+        "results": {},
+        "counters": {},
         **extra,
     }
     if status != "ok":
-        scenario["wall_ns"] = {}
+        scenario["wall_ns"] = {"best": 0, "mean": 0.0, "all": []}
     return scenario
 
 
@@ -53,47 +66,40 @@ BASE = _payload([_scenario("alpha", 1_000_000), _scenario("beta", 2_000_000)])
 
 class TestDiffScenarios:
     def test_identical_payloads_no_regressions(self):
-        differ = _load_differ()
-        rows, regressions = differ.diff_scenarios(BASE, copy.deepcopy(BASE))
-        assert regressions == []
-        assert [row[4] for row in rows] == ["ok", "ok"]
+        verdicts, bad = _diff(BASE, copy.deepcopy(BASE))
+        assert bad == []
+        assert verdicts == ["ok", "ok"]
 
     def test_slowdown_beyond_tolerance_regresses(self):
-        differ = _load_differ()
         slowed = _payload(
             [_scenario("alpha", 2_000_000), _scenario("beta", 2_000_000)]
         )
-        rows, regressions = differ.diff_scenarios(BASE, slowed, tolerance=0.25)
-        assert len(regressions) == 1
-        assert "alpha" in regressions[0]
-        assert rows[0][4] == "REGRESSION"
+        verdicts, bad = _diff(BASE, slowed, tolerance=0.25)
+        assert [row["scenario"] for row in bad] == ["alpha"]
+        assert verdicts[0] == "REGRESSION"
 
     def test_slowdown_within_tolerance_ok(self):
-        differ = _load_differ()
         slowed = _payload(
             [_scenario("alpha", 1_200_000), _scenario("beta", 2_000_000)]
         )
-        _, regressions = differ.diff_scenarios(BASE, slowed, tolerance=0.25)
-        assert regressions == []
+        _, bad = _diff(BASE, slowed, tolerance=0.25)
+        assert bad == []
 
     def test_speedup_reported_not_regressed(self):
-        differ = _load_differ()
         faster = _payload(
             [_scenario("alpha", 100_000), _scenario("beta", 2_000_000)]
         )
-        rows, regressions = differ.diff_scenarios(BASE, faster)
-        assert regressions == []
-        assert rows[0][4] == "faster"
+        verdicts, bad = _diff(BASE, faster)
+        assert bad == []
+        assert verdicts[0] == "faster"
 
     def test_missing_scenario_is_a_regression(self):
-        differ = _load_differ()
         partial = _payload([_scenario("alpha", 1_000_000)])
-        rows, regressions = differ.diff_scenarios(BASE, partial)
-        assert any("not in candidate" in r for r in regressions)
-        assert ["beta", "MISSING"] == [rows[1][0], rows[1][4]]
+        verdicts, bad = _diff(BASE, partial)
+        assert [row["scenario"] for row in bad] == ["beta"]
+        assert verdicts[1] == "MISSING"
 
     def test_new_scenario_is_informational(self):
-        differ = _load_differ()
         extended = _payload(
             [
                 _scenario("alpha", 1_000_000),
@@ -101,25 +107,22 @@ class TestDiffScenarios:
                 _scenario("gamma", 500_000),
             ]
         )
-        rows, regressions = differ.diff_scenarios(BASE, extended)
-        assert regressions == []
-        assert [row[4] for row in rows] == ["ok", "ok", "new"]
+        verdicts, bad = _diff(BASE, extended)
+        assert bad == []
+        assert verdicts == ["ok", "ok", "new"]
 
     def test_candidate_failure_is_a_regression(self):
-        differ = _load_differ()
         failing = _payload(
             [
                 _scenario("alpha", 0, status="failed", error="MemoryFault: page 3"),
                 _scenario("beta", 2_000_000),
             ]
         )
-        rows, regressions = differ.diff_scenarios(BASE, failing)
-        assert len(regressions) == 1
-        assert "MemoryFault" in regressions[0]
-        assert rows[0][4] == "FAILED"
+        verdicts, bad = _diff(BASE, failing)
+        assert len(bad) == 1
+        assert verdicts[0] == "FAILED"
 
     def test_baseline_failure_skipped(self):
-        differ = _load_differ()
         base = _payload(
             [
                 _scenario("alpha", 0, status="failed", error="boom"),
@@ -129,17 +132,15 @@ class TestDiffScenarios:
         fresh = _payload(
             [_scenario("alpha", 9_000_000), _scenario("beta", 2_000_000)]
         )
-        rows, regressions = differ.diff_scenarios(base, fresh)
-        assert regressions == []
-        assert rows[0][4] == "baseline-failed"
+        verdicts, bad = _diff(base, fresh)
+        assert bad == []
+        assert verdicts[0] == "baseline-failed"
 
     def test_mode_mismatch_refused(self):
-        differ = _load_differ()
-        with pytest.raises(differ.BenchDiffError, match="mode mismatch"):
-            differ.diff_scenarios(BASE, _payload([], mode="full"))
+        with pytest.raises(ModeMismatch, match="mode mismatch"):
+            _diff(BASE, _payload([], mode="full"))
 
     def test_v1_payload_without_status_accepted(self):
-        differ = _load_differ()
         v1 = _payload(
             [
                 {"name": "alpha", "wall_ns": {"best": 1_000_000, "mean": 1_100_000}},
@@ -147,75 +148,79 @@ class TestDiffScenarios:
             ],
             schema="repro-bench/v1",
         )
-        _, regressions = differ.diff_scenarios(v1, copy.deepcopy(v1))
-        assert regressions == []
-
-    def test_unknown_metric_rejected(self):
-        differ = _load_differ()
-        with pytest.raises(differ.BenchDiffError, match="metric"):
-            differ.diff_scenarios(BASE, copy.deepcopy(BASE), metric="median")
+        _, bad = _diff(v1, copy.deepcopy(v1))
+        assert bad == []
 
     def test_mean_metric_compares_mean(self):
-        differ = _load_differ()
-        # mean regressed 3x, best unchanged: only --metric mean should fire.
+        # mean regressed 3x, best unchanged: only the mean comparison fires.
         fresh = copy.deepcopy(BASE)
         fresh["scenarios"][0]["wall_ns"]["mean"] = 3_300_000
-        _, by_best = differ.diff_scenarios(BASE, fresh, metric="best")
-        _, by_mean = differ.diff_scenarios(BASE, fresh, metric="mean")
+        _, by_best = _diff(BASE, fresh, metric="best_ns")
+        _, by_mean = _diff(BASE, fresh, metric="mean_ns")
         assert by_best == []
         assert len(by_mean) == 1
 
 
 class TestMain:
     def test_identical_files_exit_zero(self, tmp_path, capsys):
-        differ = _load_differ()
         base = _write(tmp_path, "base.json", BASE)
-        assert differ.main([base, base]) == 0
+        assert main(["check", "--baseline", base, base]) == 0
         assert "no regressions" in capsys.readouterr().out
 
     def test_regression_exits_one(self, tmp_path, capsys):
-        differ = _load_differ()
         base = _write(tmp_path, "base.json", BASE)
         slowed = _write(
             tmp_path,
             "new.json",
             _payload([_scenario("alpha", 9_000_000), _scenario("beta", 2_000_000)]),
         )
-        assert differ.main([base, slowed]) == 1
-        assert "regression" in capsys.readouterr().err
+        assert main(["check", "--baseline", base, slowed]) == 1
+        err = capsys.readouterr().err
+        assert "regression: alpha: best 9.000 ms vs baseline 1.000 ms" in err
+        assert "1 regression(s)" in err
 
-    def test_wider_tolerance_absorbs_slowdown(self, tmp_path):
-        differ = _load_differ()
+    def test_failed_and_missing_scenarios_are_reported(self, tmp_path, capsys):
         base = _write(tmp_path, "base.json", BASE)
-        slowed = _write(
+        failing = _write(
             tmp_path,
             "new.json",
-            _payload([_scenario("alpha", 1_800_000), _scenario("beta", 2_000_000)]),
+            _payload(
+                [_scenario("alpha", 0, status="failed", error="MemoryFault: page 3")]
+            ),
         )
-        assert differ.main([base, slowed]) == 1
-        assert differ.main([base, slowed, "--tolerance", "1.0"]) == 0
+        assert main(["check", "--baseline", base, failing]) == 1
+        err = capsys.readouterr().err
+        assert "alpha: ok in baseline but failed in candidate (MemoryFault" in err
+        assert "beta: present in baseline but not in candidate" in err
+
+    def test_wider_tolerance_absorbs_slowdown(self, tmp_path):
+        # The gate uses the one default tolerance; a wider one is a
+        # library-level choice.
+        slowed_payload = _payload(
+            [_scenario("alpha", 1_800_000), _scenario("beta", 2_000_000)]
+        )
+        base = _write(tmp_path, "base.json", BASE)
+        slowed = _write(tmp_path, "new.json", slowed_payload)
+        assert main(["check", "--baseline", base, slowed]) == 1
+        _, bad = _diff(BASE, slowed_payload, tolerance=1.0)
+        assert bad == []
 
     def test_unreadable_input_exits_two(self, tmp_path):
-        differ = _load_differ()
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         good = _write(tmp_path, "base.json", BASE)
-        assert differ.main([str(bad), good]) == 2
+        assert main(["check", "--baseline", str(bad), good]) == 2
+        assert main(["check", "--baseline", good, str(bad)]) == 2
+        assert main(["check", "--baseline", good, str(tmp_path / "absent")]) == 2
 
     def test_non_bench_payload_exits_two(self, tmp_path):
-        differ = _load_differ()
         not_bench = _write(tmp_path, "x.json", {"hello": "world"})
         good = _write(tmp_path, "base.json", BASE)
-        assert differ.main([not_bench, good]) == 2
-
-    def test_negative_tolerance_exits_two(self, tmp_path):
-        differ = _load_differ()
-        base = _write(tmp_path, "base.json", BASE)
-        assert differ.main([base, base, "--tolerance", "-0.5"]) == 2
+        assert main(["check", "--baseline", not_bench, good]) == 2
+        assert main(["check", "--baseline", good, not_bench]) == 2
 
     def test_mode_mismatch_exits_two(self, tmp_path, capsys):
-        differ = _load_differ()
         base = _write(tmp_path, "base.json", BASE)
-        full = _write(tmp_path, "full.json", _payload([], mode="full"))
-        assert differ.main([base, full]) == 2
+        full = _write(tmp_path, "full.json", dict(BASE, mode="full"))
+        assert main(["check", "--baseline", base, full]) == 2
         assert "mode mismatch" in capsys.readouterr().err

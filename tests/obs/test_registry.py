@@ -8,12 +8,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.obs.registry import (
     DEFAULT_TOLERANCE,
     RunRegistry,
     open_registry,
     parse_run_dir,
 )
+from repro.obs.verdict import ModeMismatch
 
 FIXTURES = Path(__file__).parent / "fixtures" / "runs"
 
@@ -177,15 +179,82 @@ class TestAnalytics:
         assert by_name["alpha"] == "faster"
 
 
-class TestGateToleranceReuse:
-    def test_default_tolerance_matches_bench_diff(self):
-        import importlib.util
+def _bench_run(runs_dir, name, created, mode, best_ns):
+    """A run directory holding one ok ``alpha`` scenario of ``mode``."""
+    run_dir = runs_dir / name
+    run_dir.mkdir(parents=True)
+    (run_dir / "manifest.json").write_text(
+        json.dumps(
+            {
+                "run_id": name,
+                "created_unix": created,
+                "git_sha": f"{name}sha",
+                "extra": {"failed": [], "mode": mode},
+            }
+        )
+    )
+    (run_dir / "bench.json").write_text(
+        json.dumps(
+            {
+                "mode": mode,
+                "scenarios": [
+                    {"name": "alpha", "status": "ok", "wall_ns": {"best": best_ns}}
+                ],
+            }
+        )
+    )
+    return run_dir
 
-        path = Path(__file__).resolve().parents[2] / "tools" / "bench_diff.py"
-        spec = importlib.util.spec_from_file_location("bench_diff_check", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        assert DEFAULT_TOLERANCE == module.DEFAULT_TOLERANCE
+
+@pytest.fixture()
+def mixed_modes(tmp_path):
+    """Smoke runs at ~1 ms and full runs at ~100 ms, interleaved."""
+    runs = tmp_path / "runs"
+    _bench_run(runs, "s1", 1000.0, "smoke", 1_000_000)
+    _bench_run(runs, "f1", 2000.0, "full", 100_000_000)
+    _bench_run(runs, "s2", 3000.0, "smoke", 1_100_000)
+    _bench_run(runs, "f2", 4000.0, "full", 300_000_000)
+    return runs
+
+
+class TestModes:
+    def test_compare_refuses_smoke_against_full(self, mixed_modes):
+        with RunRegistry() as reg:
+            reg.rebuild(mixed_modes)
+            with pytest.raises(ModeMismatch, match="mode mismatch"):
+                reg.compare("s1", "f1")
+            (row,) = reg.compare("f1", "f2")
+            assert row["verdict"] == "REGRESSION"
+
+    def test_runs_compare_mode_mismatch_exits_two(self, mixed_modes, capsys):
+        assert main(["runs", "compare", "s1", "f1",
+                     "--runs-dir", str(mixed_modes)]) == 2
+        assert "mode mismatch" in capsys.readouterr().err
+
+    def test_trend_compares_within_each_mode(self, mixed_modes):
+        with RunRegistry() as reg:
+            reg.rebuild(mixed_modes)
+            points = reg.trend("alpha")
+        by_run = {p["run_id"]: (p["verdict"], p["ratio"]) for p in points}
+        assert by_run["s1"] == ("baseline", None)
+        assert by_run["f1"] == ("baseline", None)  # not 100x s1
+        assert by_run["s2"][0] == "ok"  # 1.1x s1, not 0.011x f1
+        assert by_run["s2"][1] == pytest.approx(1.1)
+        assert by_run["f2"][0] == "REGRESSION"  # 3x f1
+        assert by_run["f2"][1] == pytest.approx(3.0)
+
+    def test_unknown_mode_stays_comparable(self, mixed_modes):
+        unknown = _bench_run(mixed_modes, "u1", 5000.0, "full", 150_000_000)
+        manifest = json.loads((unknown / "manifest.json").read_text())
+        del manifest["extra"]["mode"]
+        (unknown / "manifest.json").write_text(json.dumps(manifest))
+        with RunRegistry() as reg:
+            reg.rebuild(mixed_modes)
+            assert reg.run("u1")["mode"] is None
+            assert reg.compare("s1", "u1")[0]["verdict"] == "REGRESSION"
+            points = reg.trend("alpha")
+        # compared with the latest point of any mode: f2 (300 ms)
+        assert points[-1]["verdict"] == "faster"
 
 
 # ---------------------------------------------------------------------------
@@ -324,3 +393,13 @@ class TestPlanQuality:
         assert any("plans.jsonl" in p for p in run.problems)
         # Well-formed records still aggregate.
         assert run.plan_quality[0]["predicate"] == "equality"
+
+    def test_falling_q_error_reads_better(self, tmp_path):
+        runs = tmp_path / "runs"
+        _plan_run(runs, "run-1", 1000.0, [_plan_record("equality", 4, 16)])
+        _plan_run(runs, "run-2", 2000.0, [_plan_record("equality", 4, 4)])
+        with RunRegistry() as reg:
+            reg.rebuild(runs)
+            points = reg.plan_trend("equality", metric="q_p90")
+        assert [p["value"] for p in points] == [4.0, 1.0]
+        assert [p["verdict"] for p in points] == ["baseline", "better"]

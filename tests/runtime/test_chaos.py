@@ -3,29 +3,16 @@
 failures in a valid v2 payload."""
 
 import json
-import pathlib
-import sys
 
 import pytest
 
 from repro.cli import main
 from repro.runtime import FaultPlan, inject
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent.parent
-
 CHAOS_SEEDS = [0, 1, 2]
 
 RELATION_A = "# relation R (numeric)\n1\n2\n3\n"
 RELATION_B = "# relation S (numeric)\n2\n3\n4\n"
-
-
-def _load_checker():
-    sys.path.insert(0, str(ROOT / "tools"))
-    try:
-        import check_bench_json
-    finally:
-        sys.path.pop(0)
-    return check_bench_json
 
 
 @pytest.fixture
@@ -103,8 +90,7 @@ class TestBenchChaos:
         assert scenario["attempts"] == 2
         assert "InjectedFaultError" in scenario["error"]
 
-        checker = _load_checker()
-        assert checker.validate_file(bench_path) == []
+        assert main(["check", str(bench_path)]) == 0
 
     def test_bench_without_faults_is_unaffected_by_chaos_flags(
         self, tmp_path, capsys

@@ -2,7 +2,7 @@
 
 The server runs on a daemon thread (``serve_background``) while the test
 drives it with the synchronous client — the same harness as
-``tools/check_serve_smoke.py``, minus the subprocess.
+the ``make serve-smoke`` gate, minus the subprocess.
 """
 
 import json
