@@ -484,7 +484,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     if decision.answer and decision.scheme is not None:
         print(
             f"witness scheme: pi = "
-            f"{decision.scheme.effective_cost(graph.without_isolated_vertices())}"
+            f"{decision.scheme.effective_cost(graph)}"
         )
     if not decision.answer and decision.lower_bound is not None:
         print(f"certificate: pi(G) >= {decision.lower_bound}")

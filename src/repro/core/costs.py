@@ -16,7 +16,9 @@ from __future__ import annotations
 import math
 
 from repro.graphs.bipartite import BipartiteGraph
-from repro.graphs.components import betti_number, component_vertex_sets
+from repro.graphs.components import Decomposition, betti_number, decompose
+# component_vertex_sets stays imported: perfbench/tracer.py wraps it here.
+from repro.graphs.components import component_vertex_sets
 from repro.graphs.simple import Graph
 from repro.core.scheme import PebblingScheme
 
@@ -33,7 +35,7 @@ def is_perfect_scheme(graph: AnyGraph, scheme: PebblingScheme) -> bool:
     return scheme.is_valid(graph) and scheme.effective_cost(graph) == graph.num_edges
 
 
-def effective_cost_bounds(graph: AnyGraph) -> tuple[int, int]:
+def effective_cost_bounds(graph: AnyGraph | Decomposition) -> tuple[int, int]:
     """The (lower, upper) bounds on ``π(G)`` from the paper's §2–3.
 
     Lower bound: ``m`` (every move deletes at most one edge).  Upper bound:
@@ -41,16 +43,9 @@ def effective_cost_bounds(graph: AnyGraph) -> tuple[int, int]:
     (each component is pebbled independently by Lemma 2.2).  For a graph
     with no edges both bounds are 0.
     """
-    m = graph.num_edges
-    if m == 0:
-        return (0, 0)
-    upper = 0
-    for vertex_set in component_vertex_sets(graph):
-        sub = graph.subgraph(vertex_set)
-        mc = sub.num_edges
-        if mc:
-            upper += math.floor(1.25 * mc)
-    return (m, upper)
+    parts = decompose(graph)
+    upper = sum(math.floor(1.25 * c.num_edges) for c in parts.components)
+    return (parts.graph.num_edges, upper)
 
 
 def naive_cost_bounds(graph: AnyGraph) -> tuple[int, int]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from repro.errors import InstanceTooLargeError
 from repro.graphs.bipartite import BipartiteGraph
-from repro.graphs.components import component_vertex_sets
+from repro.graphs.components import Decomposition, decompose
 from repro.graphs.simple import Graph
 from repro.core.costs import effective_cost_bounds
 from repro.core.lower_bounds import effective_cost_lower_bound
@@ -43,18 +43,19 @@ class PebbleDecision:
 
     def verify(self, graph: AnyGraph) -> bool:
         """Re-check the certificate against the graph."""
-        working = graph.without_isolated_vertices()
         if self.answer:
             if self.scheme is None:
                 return False
-            if not self.scheme.is_valid(working):
+            if not self.scheme.is_valid(graph):
                 return False
-            return self.scheme.effective_cost(working) <= self.threshold
+            return self.scheme.effective_cost(graph) <= self.threshold
         return self.lower_bound is not None and self.lower_bound > self.threshold
 
 
 def decide_pebble(
-    graph: AnyGraph, threshold: int, node_budget: int = DEFAULT_NODE_BUDGET
+    graph: AnyGraph | Decomposition,
+    threshold: int,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> PebbleDecision:
     """Decide ``π(G) ≤ K`` (Definition 4.1).
 
@@ -62,9 +63,8 @@ def decide_pebble(
     do not settle the question and the exact search exceeds its budget —
     the NP-completeness of the problem showing through.
     """
-    working = graph.without_isolated_vertices()
-    m = working.num_edges
-    if m == 0:
+    parts = decompose(graph)
+    if parts.betti == 0:
         return PebbleDecision(
             answer=threshold >= 0,
             threshold=threshold,
@@ -73,7 +73,7 @@ def decide_pebble(
             lower_bound=None if threshold >= 0 else 0,
         )
 
-    lower = effective_cost_lower_bound(working)
+    lower = effective_cost_lower_bound(parts)
     if threshold < lower:
         return PebbleDecision(
             answer=False,
@@ -83,10 +83,10 @@ def decide_pebble(
             lower_bound=lower,
         )
 
-    _, upper = effective_cost_bounds(working)
+    _, upper = effective_cost_bounds(parts)
     if threshold >= upper:
         # Theorem 3.1's constructive bound settles it; produce the witness.
-        result = solve_dfs_approx(working)
+        result = solve_dfs_approx(parts)
         if result.effective_cost <= threshold:
             return PebbleDecision(
                 answer=True,
@@ -96,7 +96,7 @@ def decide_pebble(
                 lower_bound=None,
             )
 
-    exact = solve_exact(working, node_budget=node_budget)
+    exact = solve_exact(parts, node_budget=node_budget)
     if exact.effective_cost <= threshold:
         return PebbleDecision(
             answer=True,
@@ -115,15 +115,16 @@ def decide_pebble(
 
 
 def decide_per_component(
-    graph: AnyGraph, threshold: int, node_budget: int = DEFAULT_NODE_BUDGET
+    graph: AnyGraph | Decomposition,
+    threshold: int,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> list[dict]:
     """Diagnostic variant: per-component optimum vs the proportional share
     of ``K`` (components decompose by Lemma 2.2)."""
-    working = graph.without_isolated_vertices()
     out = []
-    for vertex_set in component_vertex_sets(working):
-        component = working.subgraph(vertex_set)
-        result = solve_exact(component, node_budget=node_budget)
+    for part in decompose(graph).each():
+        component = part.graph
+        result = solve_exact(part, node_budget=node_budget)
         out.append(
             {
                 "edges": component.num_edges,

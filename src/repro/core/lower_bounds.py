@@ -20,7 +20,7 @@ Applied to the corona line graphs of Fig 1 this reproduces Theorem 3.3's
 from __future__ import annotations
 
 from repro.graphs.bipartite import BipartiteGraph
-from repro.graphs.components import component_vertex_sets
+from repro.graphs.components import Decomposition, decompose
 from repro.graphs.line_graph import line_graph
 from repro.graphs.simple import Graph
 
@@ -44,31 +44,29 @@ def path_partition_lower_bound(line: Graph) -> int:
     return max(1, n - capacity)
 
 
-def jump_lower_bound(graph: AnyGraph) -> int:
+def jump_lower_bound(graph: AnyGraph | Decomposition) -> int:
     """A lower bound on the total number of jumps of any scheme for
     ``graph``, summed over connected components.
 
     Per component ``c``: ``J_c ≥ path_partition_lower_bound(L(c)) − 1``.
     """
-    total = 0
-    for vertex_set in component_vertex_sets(graph):
-        sub = graph.subgraph(vertex_set)
-        if sub.num_edges == 0:
-            continue
-        total += path_partition_lower_bound(line_graph(sub)) - 1
-    return total
+    return sum(
+        path_partition_lower_bound(line_graph(component)) - 1
+        for component in decompose(graph).components
+    )
 
 
-def effective_cost_lower_bound(graph: AnyGraph) -> int:
+def effective_cost_lower_bound(graph: AnyGraph | Decomposition) -> int:
     """``π(G) ≥ m + Σ_c (p_lb(c) − 1)``: the edge count plus the jump bound.
 
     Always at least the trivial bound ``m`` of Lemma 2.3; on the worst-case
     family it reaches ``1.25m − O(1)``, matching Theorem 3.3.
     """
-    return graph.num_edges + jump_lower_bound(graph)
+    parts = decompose(graph)
+    return parts.graph.num_edges + jump_lower_bound(parts)
 
 
-def component_deficiency_report(graph: AnyGraph) -> list[dict]:
+def component_deficiency_report(graph: AnyGraph | Decomposition) -> list[dict]:
     """Per-component diagnostics used by the analysis benchmarks.
 
     Each entry records the component's edge count, the line-graph size, the
@@ -76,10 +74,7 @@ def component_deficiency_report(graph: AnyGraph) -> list[dict]:
     explaining *why* an instance is hard to pebble.
     """
     report = []
-    for vertex_set in component_vertex_sets(graph):
-        sub = graph.subgraph(vertex_set)
-        if sub.num_edges == 0:
-            continue
+    for sub in decompose(graph).components:
         line = line_graph(sub)
         p_lb = path_partition_lower_bound(line)
         degree_one = sum(1 for v in line.vertices if line.degree(v) == 1)

@@ -387,9 +387,7 @@ def measure_incidence_reduction(
     probes = probe_schemes if probe_schemes is not None else [exact.scheme]
     beta = 0.0
     for scheme in probes:
-        probe_cost = scheme.effective_cost(
-            reduction.join_graph.without_isolated_vertices()
-        )
+        probe_cost = scheme.effective_cost(reduction.join_graph)
         tour = pebble_scheme_to_tsp_tour(reduction, scheme)
         back_cost = reduction.source.tour_cost(tour)
         target_gap = probe_cost - opt_target

@@ -38,7 +38,8 @@ from dataclasses import dataclass
 
 from repro.errors import SolverError
 from repro.graphs.bipartite import BipartiteGraph
-from repro.graphs.components import component_vertex_sets
+# component_vertex_sets stays imported: perfbench/tracer.py wraps it here.
+from repro.graphs.components import Decomposition, component_vertex_sets, decompose
 from repro.graphs.line_graph import line_graph
 from repro.graphs.simple import Graph
 from repro.graphs.traversal import RootedTree, dfs_tree
@@ -184,7 +185,7 @@ def component_tour_dfs(component: AnyGraph) -> tuple[list, int]:
 
 
 def solve_dfs_approx(
-    graph: AnyGraph, budget: Budget | None = None
+    graph: AnyGraph | Decomposition, budget: Budget | None = None
 ) -> DfsApproxResult:
     """Run the Theorem 3.1 approximation over every component of ``graph``.
 
@@ -197,13 +198,12 @@ def solve_dfs_approx(
     node accounting (linear time — by the time a deadline can trip, the
     answer is essentially done anyway).
     """
-    working = graph.without_isolated_vertices()
+    parts = decompose(graph)
     tours: list[list] = []
     chunk_total = 0
     guarantee = 0
     with obs_trace.span("solver.dfs_approx"):
-        for vertex_set in component_vertex_sets(working):
-            component = working.subgraph(vertex_set)
+        for component in parts.components:
             if budget is not None:
                 budget.poll(max(1, component.num_edges))
             tour, chunks = component_tour_dfs(component)
@@ -215,10 +215,10 @@ def solve_dfs_approx(
         obs_metrics.inc("solver.dfs_approx.solves")
         obs_metrics.inc("solver.dfs_approx.chunks", chunk_total)
     flat = [edge for tour in tours for edge in tour]
-    scheme = PebblingScheme.from_edge_order(working, flat)
+    scheme = PebblingScheme.from_edge_order(parts.graph, flat)
     return DfsApproxResult(
         scheme=scheme,
-        effective_cost=scheme.effective_cost(working),
+        effective_cost=scheme.cost() - parts.betti,
         jumps=scheme.jumps(),
         chunks=chunk_total,
         guarantee=guarantee,

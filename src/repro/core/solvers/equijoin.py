@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from repro.errors import SolverError
 from repro.graphs.bipartite import BipartiteGraph
-from repro.graphs.components import component_vertex_sets
+# component_vertex_sets stays imported: perfbench/tracer.py wraps it here.
+from repro.graphs.components import Decomposition, component_vertex_sets, decompose
 from repro.core.scheme import PebblingScheme
 
 
-def is_union_of_bicliques(graph: BipartiteGraph) -> bool:
+def is_union_of_bicliques(graph: BipartiteGraph | Decomposition) -> bool:
     """True iff every connected component (ignoring isolated vertices) is
     complete bipartite — i.e. the graph could be an equijoin join graph.
 
@@ -29,11 +30,7 @@ def is_union_of_bicliques(graph: BipartiteGraph) -> bool:
     worst-case family of Fig 1 fails) and the admission check of the
     linear-time solver.
     """
-    working = graph.without_isolated_vertices()
-    for vertex_set in component_vertex_sets(working):
-        if not working.subgraph(vertex_set).is_complete_bipartite():
-            return False
-    return True
+    return all(c.is_complete_bipartite() for c in decompose(graph).components)
 
 
 def biclique_tour(component: BipartiteGraph) -> list[tuple]:
@@ -50,7 +47,7 @@ def biclique_tour(component: BipartiteGraph) -> list[tuple]:
     return tour
 
 
-def solve_equijoin(graph: BipartiteGraph) -> PebblingScheme:
+def solve_equijoin(graph: BipartiteGraph | Decomposition) -> PebblingScheme:
     """A perfect pebbling scheme for an equijoin graph, in linear time.
 
     Raises :class:`~repro.errors.SolverError` if some component is not
@@ -58,14 +55,13 @@ def solve_equijoin(graph: BipartiteGraph) -> PebblingScheme:
     callers wanting a best-effort answer should use the registry's ``auto``
     method instead.
     """
-    working = graph.without_isolated_vertices()
+    parts = decompose(graph)
     tour: list[tuple] = []
-    for vertex_set in component_vertex_sets(working):
-        component = working.subgraph(vertex_set)
+    for component in parts.components:
         if not component.is_complete_bipartite():
             raise SolverError(
                 "component is not complete bipartite; "
                 "not an equijoin join graph"
             )
         tour.extend(biclique_tour(component))
-    return PebblingScheme.from_edge_order(working, tour)
+    return PebblingScheme.from_edge_order(parts.graph, tour)

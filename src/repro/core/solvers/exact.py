@@ -28,7 +28,7 @@ from itertools import permutations
 
 from repro.errors import InstanceTooLargeError
 from repro.graphs.bipartite import BipartiteGraph
-from repro.graphs.components import component_vertex_sets
+from repro.graphs.components import Decomposition, betti_number, decompose
 from repro.graphs.line_graph import line_graph
 from repro.graphs.simple import Graph
 from repro.core.scheme import PebblingScheme
@@ -268,11 +268,8 @@ def optimal_component_tour(
     Returns ``(tour, search_nodes)``.  Complete bipartite components are
     answered in closed form (boustrophedon, Lemma 3.2) without any search.
     """
-    if (
-        isinstance(component, BipartiteGraph)
-        and component.without_isolated_vertices().is_complete_bipartite()
-    ):
-        return biclique_tour(component.without_isolated_vertices()), 0
+    if isinstance(component, BipartiteGraph) and component.is_complete_bipartite():
+        return biclique_tour(component), 0
     with obs_trace.span("solver.exact.line_graph"):
         line = line_graph(component)
     search = _PathPartitionSearch(line, node_budget, budget=budget)
@@ -300,7 +297,7 @@ def optimal_component_tour(
 
 
 def solve_exact(
-    graph: AnyGraph,
+    graph: AnyGraph | Decomposition,
     node_budget: int = DEFAULT_NODE_BUDGET,
     budget: Budget | None = None,
 ) -> ExactResult:
@@ -313,12 +310,11 @@ def solve_exact(
     search has no useful partial state, so the registry ladder degrades to
     the DFS approximation instead.
     """
-    working = graph.without_isolated_vertices()
+    parts = decompose(graph)
     tours: list[list] = []
     total_nodes = 0
     with obs_trace.span("solver.exact"):
-        for vertex_set in component_vertex_sets(working):
-            component = working.subgraph(vertex_set)
+        for component in parts.components:
             with obs_trace.span(
                 "solver.exact.component", m=component.num_edges
             ):
@@ -330,8 +326,8 @@ def solve_exact(
     if obs_recorder.ON:
         obs_metrics.inc("solver.exact.solves")
     flat = [edge for tour in tours for edge in tour]
-    scheme = PebblingScheme.from_edge_order(working, flat)
-    effective_cost = scheme.effective_cost(working)
+    scheme = PebblingScheme.from_edge_order(parts.graph, flat)
+    effective_cost = scheme.cost() - parts.betti
     from repro.core.lower_bounds import effective_cost_lower_bound
 
     return ExactResult(
@@ -340,13 +336,13 @@ def solve_exact(
         jumps=scheme.jumps(),
         search_nodes=total_nodes,
         deficiency_tight=(
-            effective_cost == effective_cost_lower_bound(working)
+            effective_cost == effective_cost_lower_bound(parts)
         ),
     )
 
 
 def exact_search_effort(
-    graph: AnyGraph,
+    graph: AnyGraph | Decomposition,
     use_ordering: bool = True,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> int:
@@ -355,12 +351,8 @@ def exact_search_effort(
     ablation probe behind ``bench_ablations``.  Raises
     :class:`~repro.errors.InstanceTooLargeError` past the budget either
     way, so both arms stay bounded."""
-    working = graph.without_isolated_vertices()
     total = 0
-    for vertex_set in component_vertex_sets(working):
-        component = working.subgraph(vertex_set)
-        if component.num_edges == 0:
-            continue
+    for component in decompose(graph).components:
         line = line_graph(component)
         search = _PathPartitionSearch(line, node_budget, use_ordering=use_ordering)
         lower = search._partition_lb(search.full)
@@ -376,15 +368,12 @@ def optimal_effective_cost_bruteforce(graph: AnyGraph) -> int:
 
     Only for cross-validating the search on tiny inputs (``m ≤ 8``).
     """
-    working = graph.without_isolated_vertices()
-    edges = working.edges()
+    edges = graph.edges()
     if len(edges) > 8:
         raise InstanceTooLargeError("brute force limited to 8 edges")
     if not edges:
         return 0
-    from repro.graphs.components import betti_number
-
-    beta = betti_number(working)
+    beta = betti_number(graph)
     best = None
     for order in permutations(edges):
         cost = tour_cost(order) + 2 - beta

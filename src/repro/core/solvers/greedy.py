@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.graphs.bipartite import BipartiteGraph
-from repro.graphs.components import component_vertex_sets
+from repro.graphs.components import Decomposition, decompose
 from repro.graphs.line_graph import line_graph
 from repro.graphs.simple import Graph
 from repro.core.scheme import PebblingScheme
@@ -54,22 +54,23 @@ def component_tour_greedy(component: AnyGraph) -> list:
     return tour
 
 
-def solve_greedy(graph: AnyGraph, budget: Budget | None = None) -> GreedyResult:
+def solve_greedy(
+    graph: AnyGraph | Decomposition, budget: Budget | None = None
+) -> GreedyResult:
     """Greedy scheme over every component of ``graph``.
 
     The bottom rung of the degradation ladder: linear-time, so a ``budget``
     is polled per component for accounting but never stops the solve.
     """
-    working = graph.without_isolated_vertices()
+    parts = decompose(graph)
     flat: list = []
-    for vertex_set in component_vertex_sets(working):
-        component = working.subgraph(vertex_set)
+    for component in parts.components:
         if budget is not None:
             budget.poll(max(1, component.num_edges))
         flat.extend(component_tour_greedy(component))
-    scheme = PebblingScheme.from_edge_order(working, flat)
+    scheme = PebblingScheme.from_edge_order(parts.graph, flat)
     return GreedyResult(
         scheme=scheme,
-        effective_cost=scheme.effective_cost(working),
+        effective_cost=scheme.cost() - parts.betti,
         jumps=scheme.jumps(),
     )

@@ -94,11 +94,10 @@ def held_karp_effective_cost(graph: AnyGraph, budget: Budget | None = None) -> i
     Independent of the path-partition engine; used as a second opinion in
     tests.  Limited to graphs whose edge count is at most 18.
     """
-    working = graph.without_isolated_vertices()
-    m = working.num_edges
+    m = graph.num_edges
     if m == 0:
         return 0
-    line = line_graph(working)
+    line = line_graph(graph)
     with obs_trace.span("solver.held_karp"):
         j_min = held_karp_min_jumps(line, budget=budget)
     if obs_recorder.ON:
@@ -107,4 +106,4 @@ def held_karp_effective_cost(graph: AnyGraph, budget: Budget | None = None) -> i
         obs_metrics.inc(
             "solver.held_karp.relaxations", (1 << line.num_vertices) * line.num_vertices
         )
-    return m + 1 + j_min - betti_number(working)
+    return m + 1 + j_min - betti_number(graph)

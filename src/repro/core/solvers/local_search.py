@@ -35,7 +35,8 @@ from collections.abc import Callable, Hashable
 from dataclasses import dataclass
 
 from repro.graphs.bipartite import BipartiteGraph
-from repro.graphs.components import component_vertex_sets
+# component_vertex_sets stays imported: perfbench/tracer.py wraps it here.
+from repro.graphs.components import Decomposition, component_vertex_sets, decompose
 from repro.graphs.simple import Graph
 from repro.core.scheme import PebblingScheme
 from repro.core.tsp import edges_share_endpoint, tour_cost
@@ -180,31 +181,32 @@ class PolishResult:
 
 
 def polish_scheme(
-    graph: AnyGraph, scheme: PebblingScheme, budget: Budget | None = None
+    graph: AnyGraph | Decomposition,
+    scheme: PebblingScheme,
+    budget: Budget | None = None,
 ) -> PolishResult:
     """Improve a canonical scheme with local search, per component.
 
     The scheme must be an edge order.  Each component's slice of the order
     is polished independently (cross-component steps are unavoidable jumps).
     """
-    working = graph.without_isolated_vertices()
-    by_component: dict[int, list] = {}
-    component_of: dict = {}
-    for index, vertex_set in enumerate(component_vertex_sets(working)):
-        for v in vertex_set:
-            component_of[v] = index
-        by_component[index] = []
+    parts = decompose(graph)
+    by_component: list[list] = [[] for _ in parts.components]
+    component_of = {
+        v: index
+        for index, component in enumerate(parts.components)
+        for v in component
+    }
+    bipartite = isinstance(parts.graph, BipartiteGraph)
     for a, b in scheme.configurations:
         by_component[component_of[a]].append(
-            working.orient_edge(a, b)
-            if isinstance(working, BipartiteGraph)
-            else (a, b)
+            parts.graph.orient_edge(a, b) if bipartite else (a, b)
         )
     flat: list = []
     with obs_trace.span("solver.polish"):
-        for index in sorted(by_component):
-            flat.extend(improve_tour(by_component[index], budget=budget))
-    improved = PebblingScheme.from_edge_order(working, flat)
+        for tour in by_component:
+            flat.extend(improve_tour(tour, budget=budget))
+    improved = PebblingScheme.from_edge_order(parts.graph, flat)
     if obs_recorder.ON:
         obs_metrics.inc("solver.polish.passes")
         obs_metrics.inc(
@@ -212,7 +214,7 @@ def polish_scheme(
         )
     return PolishResult(
         scheme=improved,
-        effective_cost=improved.effective_cost(working),
+        effective_cost=improved.cost() - parts.betti,
         jumps=improved.jumps(),
         improvement=scheme.jumps() - improved.jumps(),
     )

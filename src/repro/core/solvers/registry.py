@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 from repro.errors import BudgetExhaustedError, InstanceTooLargeError, SolverError
 from repro.graphs.bipartite import BipartiteGraph
-from repro.graphs.components import component_vertex_sets
+# component_vertex_sets stays imported: perfbench/tracer.py wraps it here.
+from repro.graphs.components import Decomposition, component_vertex_sets, decompose
 from repro.graphs.simple import Graph
 from repro.core.lower_bounds import effective_cost_lower_bound
 from repro.core.scheme import PebblingScheme
@@ -137,7 +138,7 @@ def _count_degradation(src: str, dst: str, exc: Exception | None = None) -> None
 
 
 def _wrap(
-    graph: AnyGraph,
+    parts: Decomposition,
     scheme: PebblingScheme,
     method: str,
     optimal: bool,
@@ -145,7 +146,6 @@ def _wrap(
     degradations: tuple[str, ...] = (),
     forced_status: str | None = None,
 ) -> SolveResult:
-    working = graph.without_isolated_vertices()
     if forced_status is not None:
         status = forced_status
     elif budget is not None and budget.exhausted:
@@ -159,14 +159,15 @@ def _wrap(
         provenance = SolveProvenance(
             nodes_expanded=budget.nodes_charged if budget is not None else 0,
             elapsed_seconds=budget.elapsed() if budget is not None else 0.0,
-            lower_bound=effective_cost_lower_bound(working),
+            lower_bound=effective_cost_lower_bound(parts),
             degradations=tuple(degradations),
         )
+    raw_cost = scheme.cost()
     return SolveResult(
         scheme=scheme,
         method=method,
-        effective_cost=scheme.effective_cost(working),
-        raw_cost=scheme.cost(),
+        effective_cost=raw_cost - parts.betti,
+        raw_cost=raw_cost,
         jumps=scheme.jumps(),
         optimal=optimal,
         status=status,
@@ -174,16 +175,8 @@ def _wrap(
     )
 
 
-def _max_component_edges(graph: AnyGraph) -> int:
-    # Half a component's degree sum is its edge count: no induced subgraph.
-    working = graph.without_isolated_vertices()
-    return max(
-        (
-            sum(working.degree(v) for v in vs) // 2
-            for vs in component_vertex_sets(working)
-        ),
-        default=0,
-    )
+def _max_component_edges(graph: AnyGraph | Decomposition) -> int:
+    return max((c.num_edges for c in decompose(graph).components), default=0)
 
 
 # Options consumed by budget resolution; solve() strips them before
@@ -231,7 +224,9 @@ def _current_solve_cache():
     return cache_mod.current_cache()
 
 
-def solve(graph: AnyGraph, method: str = "auto", **options) -> SolveResult:
+def solve(
+    graph: AnyGraph | Decomposition, method: str = "auto", **options
+) -> SolveResult:
     """Solve PEBBLE on ``graph`` with the requested ``method``.
 
     Options: ``node_budget`` (exact search hard limit),
@@ -243,10 +238,14 @@ def solve(graph: AnyGraph, method: str = "auto", **options) -> SolveResult:
     consulted *before* the degradation ladder: a hit returns the cached
     result immediately, and clean (undegraded) results are stored on the
     way out.
+
+    The graph is split into components once (:func:`decompose`) and every
+    method, bound and cost below works on that one split.
     """
     if method not in METHODS:
         raise SolverError(f"unknown method {method!r}; choose from {METHODS}")
 
+    parts = decompose(graph)
     budget = _resolve_budget(options)
     solver_options = {
         k: v for k, v in options.items() if k not in _BUDGET_OPTION_KEYS
@@ -254,7 +253,7 @@ def solve(graph: AnyGraph, method: str = "auto", **options) -> SolveResult:
     cache = _current_solve_cache()
     token = None
     if cache is not None:
-        hit, token = cache.consult(graph, method, solver_options)
+        hit, token = cache.consult(parts.graph, method, solver_options)
         if hit is not None:
             return hit
     if obs_recorder.ON:
@@ -264,14 +263,14 @@ def solve(graph: AnyGraph, method: str = "auto", **options) -> SolveResult:
             obs_events.emit(
                 obs_events.EVENT_SOLVER_PHASE, phase="solve", method=method
             )
-        result = _solve(graph, method, budget, **solver_options)
+        result = _solve(parts, method, budget, **solver_options)
     if cache is not None and token is not None:
         cache.store(token, result)
     return result
 
 
 def _solve_exact(
-    graph: AnyGraph,
+    parts: Decomposition,
     budget: Budget | None,
     degradations: tuple[str, ...],
     **options,
@@ -285,14 +284,14 @@ def _solve_exact(
     """
     hard_limit = options.get("node_budget", exact_mod.DEFAULT_NODE_BUDGET)
     if budget is None:
-        result = exact_mod.solve_exact(graph, node_budget=hard_limit)
-        return _wrap(graph, result.scheme, "exact", optimal=True,
+        result = exact_mod.solve_exact(parts, node_budget=hard_limit)
+        return _wrap(parts, result.scheme, "exact", optimal=True,
                      degradations=degradations)
     try:
         result = exact_mod.solve_exact(
-            graph, node_budget=hard_limit, budget=budget
+            parts, node_budget=hard_limit, budget=budget
         )
-        return _wrap(graph, result.scheme, "exact", optimal=True,
+        return _wrap(parts, result.scheme, "exact", optimal=True,
                      budget=budget, degradations=degradations)
     except (BudgetExhaustedError, InstanceTooLargeError) as exc:
         _count_exhaustion(exc)
@@ -301,111 +300,115 @@ def _solve_exact(
         degradations = degradations + ("exact->dfs+polish",)
         # The guarantee rung: unbudgeted so it always completes (linear
         # time); polishing polls the (already tripped) budget and no-ops.
-        scheme = solve_dfs_approx(graph).scheme
-        scheme = polish_scheme(graph, scheme, budget=budget).scheme
-        return _wrap(graph, scheme, "dfs+polish", optimal=False,
+        scheme = solve_dfs_approx(parts).scheme
+        scheme = polish_scheme(parts, scheme, budget=budget).scheme
+        return _wrap(parts, scheme, "dfs+polish", optimal=False,
                      budget=budget, degradations=degradations,
                      forced_status=forced)
 
 
 def _solve(
-    graph: AnyGraph,
+    parts: Decomposition,
     method: str,
     budget: Budget | None = None,
     degradations: tuple[str, ...] = (),
     **options,
 ) -> SolveResult:
     if method == "auto":
-        if isinstance(graph, BipartiteGraph) and is_union_of_bicliques(graph):
-            return _solve(graph, "equijoin", budget, degradations)
+        bipartite = isinstance(parts.graph, BipartiteGraph)
+        if bipartite and is_union_of_bicliques(parts):
+            return _solve(parts, "equijoin", budget, degradations)
         limit = options.get("exact_edge_limit", AUTO_EXACT_EDGE_LIMIT)
-        if _max_component_edges(graph) <= limit:
+        if _max_component_edges(parts) <= limit:
             # _solve_exact already absorbs exhaustion when a budget is in
             # play; without one, legacy InstanceTooLargeError must still
             # not leak out of auto — fall to the approximation rung.
             try:
-                return _solve_exact(graph, budget, degradations, **options)
+                return _solve_exact(parts, budget, degradations, **options)
             except InstanceTooLargeError as exc:
                 _count_exhaustion(exc)
                 _count_degradation("exact", "dfs+polish", exc)
                 degradations = degradations + ("exact->dfs+polish",)
                 forced = _status_of(exc)
                 result = _solve(
-                    graph, "dfs+polish", budget, degradations, **options
+                    parts, "dfs+polish", budget, degradations, **options
                 )
                 return _wrap(
-                    graph, result.scheme, "dfs+polish", optimal=False,
+                    parts, result.scheme, "dfs+polish", optimal=False,
                     budget=budget, degradations=degradations,
                     forced_status=forced,
                 )
         try:
-            return _solve(graph, "dfs+polish", budget, degradations, **options)
+            return _solve(parts, "dfs+polish", budget, degradations, **options)
         except BudgetExhaustedError as exc:
             # Defensive final rung: dfs+polish only polls today, but if a
             # future checkpoint raises, greedy still serves an answer.
             _count_exhaustion(exc)
             _count_degradation("dfs+polish", "greedy", exc)
             degradations = degradations + ("dfs+polish->greedy",)
-            result = solve_greedy(graph)
+            result = solve_greedy(parts)
             return _wrap(
-                graph, result.scheme, "greedy", optimal=False, budget=budget,
+                parts, result.scheme, "greedy", optimal=False, budget=budget,
                 degradations=degradations, forced_status=_status_of(exc),
             )
 
     if method == "equijoin":
-        scheme = solve_equijoin(graph)
-        return _wrap(graph, scheme, method, optimal=True,
+        scheme = solve_equijoin(parts)
+        return _wrap(parts, scheme, method, optimal=True,
                      degradations=degradations)
 
     if method == "exact":
-        return _solve_exact(graph, budget, degradations, **options)
+        return _solve_exact(parts, budget, degradations, **options)
 
     if method in ("dfs", "dfs+polish"):
-        result = solve_dfs_approx(graph, budget=budget)
+        result = solve_dfs_approx(parts, budget=budget)
         scheme = result.scheme
         if method == "dfs+polish":
-            scheme = polish_scheme(graph, scheme, budget=budget).scheme
-        return _wrap(graph, scheme, method, optimal=False, budget=budget,
+            scheme = polish_scheme(parts, scheme, budget=budget).scheme
+        return _wrap(parts, scheme, method, optimal=False, budget=budget,
                      degradations=degradations)
 
     if method in ("greedy", "greedy+polish"):
-        result = solve_greedy(graph, budget=budget)
+        result = solve_greedy(parts, budget=budget)
         scheme = result.scheme
         if method == "greedy+polish":
-            scheme = polish_scheme(graph, scheme, budget=budget).scheme
-        return _wrap(graph, scheme, method, optimal=False, budget=budget,
+            scheme = polish_scheme(parts, scheme, budget=budget).scheme
+        return _wrap(parts, scheme, method, optimal=False, budget=budget,
                      degradations=degradations)
 
     if method == "anneal":
         from repro.core.solvers.anneal import solve_anneal
 
         result = solve_anneal(
-            graph,
+            parts,
             seed=options.get("seed", 0),
             steps=options.get("steps", 4000),
             budget=budget,
         )
-        return _wrap(graph, result.scheme, method, optimal=False,
+        return _wrap(parts, result.scheme, method, optimal=False,
                      budget=budget, degradations=degradations)
 
     # matching / matching+polish
-    result = solve_matching_stitch(graph, budget=budget)
+    result = solve_matching_stitch(parts, budget=budget)
     scheme = result.scheme
     if method == "matching+polish":
-        scheme = polish_scheme(graph, scheme, budget=budget).scheme
-    return _wrap(graph, scheme, method, optimal=False, budget=budget,
+        scheme = polish_scheme(parts, scheme, budget=budget).scheme
+    return _wrap(parts, scheme, method, optimal=False, budget=budget,
                  degradations=degradations)
 
 
-def optimal_effective_cost(graph: AnyGraph, **options) -> int:
+def optimal_effective_cost(
+    graph: AnyGraph | Decomposition, **options
+) -> int:
     """``π(G)`` via the cheapest guaranteed-optimal method.
 
     Raises :class:`SolverError` if a budget forced the exact search to
     degrade — a degraded answer carries no optimality certificate.
     """
-    if isinstance(graph, BipartiteGraph) and is_union_of_bicliques(graph):
-        return graph.without_isolated_vertices().num_edges
-    result = solve(graph, "exact", **options)
+    parts = decompose(graph)
+    if isinstance(parts.graph, BipartiteGraph) and is_union_of_bicliques(parts):
+        return parts.graph.num_edges
+    result = solve(parts, "exact", **options)
     if not result.optimal:
         raise SolverError(
             "exact search degraded under its budget "

@@ -7,7 +7,8 @@ the structures the paper's model needs:
   line graphs ``L(G)``, TSP(1,2) instances, and hardness gadgets.
 - :class:`~repro.graphs.bipartite.BipartiteGraph` — the *join graph* of a
   join problem instance (paper §2).
-- connected components and the 0th Betti number (paper Def 2.2),
+- the one-pass component split (Lemma 2.2) and the 0th Betti number
+  (paper Def 2.2),
 - line-graph construction and claw-freeness (paper §2.2),
 - maximum matchings, Hamiltonian-path search, generators and serialization.
 
@@ -18,8 +19,9 @@ an independent oracle to cross-check this implementation.
 from repro.graphs.simple import Graph
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.components import (
+    Decomposition,
     betti_number,
-    connected_components,
+    decompose,
     disjoint_union,
     is_connected,
 )
@@ -34,8 +36,9 @@ from repro.graphs.hamiltonian import (
 __all__ = [
     "Graph",
     "BipartiteGraph",
+    "Decomposition",
     "betti_number",
-    "connected_components",
+    "decompose",
     "disjoint_union",
     "is_connected",
     "line_graph",

@@ -47,6 +47,9 @@ class BipartiteGraph:
     ) -> None:
         self._left: dict[Vertex, set[Vertex]] = {}
         self._right: dict[Vertex, set[Vertex]] = {}
+        # Vertex -> place in the vertex order (left, then right), built by
+        # the first subgraph and rebuilt when the vertex count changes.
+        self._place: dict[Vertex, int] | None = None
         for vertex in left:
             self.add_left_vertex(vertex)
         for vertex in right:
@@ -141,15 +144,18 @@ class BipartiteGraph:
             return v in self._right[u]
         return False
 
+    def _stored_neighbors(self, vertex: Vertex) -> set[Vertex]:
+        nbrs = self._left.get(vertex, self._right.get(vertex))
+        if nbrs is None:
+            raise VertexError(f"vertex {vertex!r} does not exist")
+        return nbrs
+
     def neighbors(self, vertex: Vertex) -> set[Vertex]:
-        if vertex in self._left:
-            return set(self._left[vertex])
-        if vertex in self._right:
-            return set(self._right[vertex])
-        raise VertexError(f"vertex {vertex!r} does not exist")
+        """The (copied) neighbor set of ``vertex``."""
+        return set(self._stored_neighbors(vertex))
 
     def degree(self, vertex: Vertex) -> int:
-        return len(self.neighbors(vertex))
+        return len(self._stored_neighbors(vertex))
 
     def isolated_vertices(self) -> list[Vertex]:
         """Vertices with no incident edge (removed a priori by the paper)."""
@@ -196,19 +202,24 @@ class BipartiteGraph:
         return clone
 
     def subgraph(self, keep: Iterable[Vertex]) -> "BipartiteGraph":
-        """The induced subgraph on ``keep``, preserving sides."""
+        """The induced subgraph on ``keep``, preserving sides and the
+        parent's vertex order, in O(|keep| log |keep| + incident edges)."""
+        if self._place is None or len(self._place) != self.num_vertices:
+            self._place = {v: i for i, v in enumerate(self)}
         keep_set = set(keep)
-        missing = [v for v in keep_set if not self.has_vertex(v)]
+        missing = [v for v in keep_set if v not in self._place]
         if missing:
             raise VertexError(f"vertices not in graph: {sorted(map(repr, missing))}")
+        ordered = sorted(keep_set, key=self._place.__getitem__)
         sub = BipartiteGraph(
-            left=(v for v in self._left if v in keep_set),
-            right=(v for v in self._right if v in keep_set),
+            left=(v for v in ordered if v in self._left),
+            right=(v for v in ordered if v in self._right),
         )
-        for u in sub.left:
+        for u, nbrs in sub._left.items():
             for v in self._left[u]:
                 if v in keep_set:
-                    sub.add_edge(u, v)
+                    nbrs.add(v)
+                    sub._right[v].add(u)
         return sub
 
     def without_isolated_vertices(self) -> "BipartiteGraph":

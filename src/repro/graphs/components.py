@@ -2,14 +2,15 @@
 
 The paper's effective cost ``π(G) = π̂(G) − β₀(G)`` subtracts the number of
 connected components ``β₀`` (Def 2.2), and the additivity lemma (Lemma 2.2)
-shows that disjoint join problems decompose.  These are the supporting
-operations.
+shows that disjoint join problems decompose.  :func:`decompose` splits a
+graph once; every solver, bound and batch path works on that one split.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable
+from dataclasses import dataclass
 
 from repro.errors import GraphError
 from repro.graphs.bipartite import BipartiteGraph
@@ -18,28 +19,27 @@ from repro.graphs.simple import Graph, Vertex
 AnyGraph = Graph | BipartiteGraph
 
 
-def _vertices(graph: AnyGraph) -> list[Vertex]:
-    if isinstance(graph, BipartiteGraph):
-        return graph.left + graph.right
-    return graph.vertices
-
-
 def component_vertex_sets(graph: AnyGraph) -> list[set[Vertex]]:
     """Vertex sets of the connected components, by BFS.
 
     Components are returned in order of their first vertex, so the output is
     deterministic for a deterministically-built graph.
     """
+    # The stored neighbour sets, in vertex order; neighbors() would copy.
+    adjacency = (
+        {**graph._left, **graph._right}
+        if isinstance(graph, BipartiteGraph)
+        else graph._adjacency
+    )
     seen: set[Vertex] = set()
     components: list[set[Vertex]] = []
-    for start in _vertices(graph):
+    for start in adjacency:
         if start in seen:
             continue
         component = {start}
         queue = deque([start])
         while queue:
-            current = queue.popleft()
-            for neighbor in graph.neighbors(current):
+            for neighbor in adjacency[queue.popleft()]:
                 if neighbor not in component:
                     component.add(neighbor)
                     queue.append(neighbor)
@@ -48,9 +48,41 @@ def component_vertex_sets(graph: AnyGraph) -> list[set[Vertex]]:
     return components
 
 
-def connected_components(graph: AnyGraph) -> list[AnyGraph]:
-    """The connected components as induced subgraphs of the same type."""
-    return [graph.subgraph(vs) for vs in component_vertex_sets(graph)]
+@dataclass(frozen=True)
+class Decomposition:
+    """A graph split into its connected components (Lemma 2.2).
+
+    ``components`` holds the induced subgraph of every component that has
+    an edge, in order of its first vertex; isolated vertices are dropped,
+    as the paper removes them a priori (§2).  Each component keeps the
+    parent's vertex order.  Build one with :func:`decompose`.
+    """
+
+    graph: AnyGraph
+    components: tuple[AnyGraph, ...]
+
+    @property
+    def betti(self) -> int:
+        """``β₀``: the number of components with an edge (Def 2.2)."""
+        return len(self.components)
+
+    def each(self) -> list["Decomposition"]:
+        """One already-split decomposition per component."""
+        return [Decomposition(c, (c,)) for c in self.components]
+
+
+def decompose(graph: AnyGraph | Decomposition) -> Decomposition:
+    """Split ``graph`` into components once; a decomposition passes through."""
+    if isinstance(graph, Decomposition):
+        return graph
+    return Decomposition(
+        graph,
+        tuple(
+            graph.subgraph(vs)
+            for vs in component_vertex_sets(graph)
+            if len(vs) > 1
+        ),
+    )
 
 
 def betti_number(graph: AnyGraph, ignore_isolated: bool = True) -> int:
@@ -63,11 +95,8 @@ def betti_number(graph: AnyGraph, ignore_isolated: bool = True) -> int:
     components = component_vertex_sets(graph)
     if not ignore_isolated:
         return len(components)
-    return sum(
-        1
-        for vs in components
-        if any(graph.neighbors(v) for v in vs)
-    )
+    # A component with an edge has two vertices (there are no self-loops).
+    return sum(1 for vs in components if len(vs) > 1)
 
 
 def is_connected(graph: AnyGraph) -> bool:

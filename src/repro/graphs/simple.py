@@ -63,6 +63,9 @@ class Graph:
         edges: Iterable[tuple[Vertex, Vertex]] = (),
     ) -> None:
         self._adjacency: dict[Vertex, set[Vertex]] = {}
+        # Vertex -> place in insertion order, built by the first subgraph and
+        # dropped by remove_vertex; appending keeps a complete map valid.
+        self._place: dict[Vertex, int] | None = None
         for vertex in vertices:
             self.add_vertex(vertex)
         for u, v in edges:
@@ -102,6 +105,7 @@ class Graph:
         for neighbor in self._adjacency[vertex]:
             self._adjacency[neighbor].discard(vertex)
         del self._adjacency[vertex]
+        self._place = None
 
     # ------------------------------------------------------------------
     # queries
@@ -168,16 +172,17 @@ class Graph:
         return clone
 
     def subgraph(self, keep: Iterable[Vertex]) -> "Graph":
-        """The subgraph induced by the vertex set ``keep``."""
+        """The subgraph induced by the vertex set ``keep``, in the parent's
+        vertex order, in O(|keep| log |keep| + incident edges)."""
+        if self._place is None or len(self._place) != len(self._adjacency):
+            self._place = {v: i for i, v in enumerate(self._adjacency)}
         keep_set = set(keep)
-        missing = keep_set - set(self._adjacency)
+        missing = [v for v in keep_set if v not in self._place]
         if missing:
             raise VertexError(f"vertices not in graph: {sorted(map(repr, missing))}")
-        sub = Graph(vertices=keep_set)
-        for u in keep_set:
-            for v in self._adjacency[u]:
-                if v in keep_set:
-                    sub.add_edge(u, v)
+        sub = Graph(vertices=sorted(keep_set, key=self._place.__getitem__))
+        for u, nbrs in sub._adjacency.items():
+            nbrs.update(v for v in self._adjacency[u] if v in keep_set)
         return sub
 
     def without_isolated_vertices(self) -> "Graph":

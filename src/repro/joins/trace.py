@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from repro.errors import SchemeError
 from repro.graphs.bipartite import BipartiteGraph
-from repro.graphs.components import betti_number
+from repro.graphs.components import betti_number, decompose
 from repro.obs import metrics as obs_metrics
 from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
@@ -37,8 +37,7 @@ def scheme_from_output(
     raises :class:`~repro.errors.SchemeError` here, which the failure-
     injection tests rely on).
     """
-    working = graph.without_isolated_vertices()
-    return PebblingScheme.from_edge_order(working, output)
+    return PebblingScheme.from_edge_order(graph, output)
 
 
 @dataclass(frozen=True)
@@ -74,22 +73,24 @@ def trace_report(
     graph: BipartiteGraph, output: JoinOutput, algorithm: str
 ) -> TraceReport:
     """Build a :class:`TraceReport` for one execution's output order."""
-    working = graph.without_isolated_vertices()
-    if working.num_edges == 0:
+    m = graph.num_edges
+    if m == 0:
         if output:
             raise SchemeError("join emitted pairs but the join graph is empty")
         return TraceReport(algorithm, 0, 0, 0, 0, 0, 0)
     with obs_trace.span("joins.trace_report", algorithm=algorithm):
-        scheme = scheme_from_output(working, output)
-        lower, upper = effective_cost_bounds(working)
+        scheme = scheme_from_output(graph, output)
+        parts = decompose(graph)
+        lower, upper = effective_cost_bounds(parts)
     if obs_recorder.ON:
         obs_metrics.inc("joins.trace_reports")
         obs_metrics.inc("joins.trace.jumps", scheme.jumps())
+    raw_cost = scheme.cost()
     return TraceReport(
         algorithm=algorithm,
-        output_size=working.num_edges,
-        effective_cost=scheme.effective_cost(working),
-        raw_cost=scheme.cost(),
+        output_size=m,
+        effective_cost=raw_cost - parts.betti,
+        raw_cost=raw_cost,
         jumps=scheme.jumps(),
         lower_bound=lower,
         upper_bound=upper,
@@ -98,7 +99,7 @@ def trace_report(
 
 def beta0(graph: BipartiteGraph) -> int:
     """Convenience re-export of the Betti number for report code."""
-    return betti_number(graph.without_isolated_vertices())
+    return betti_number(graph)
 
 
 @dataclass(frozen=True)

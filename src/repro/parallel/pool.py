@@ -40,6 +40,7 @@ from typing import Any, Sequence
 from repro import obs
 from repro.core.solvers.registry import SolveResult
 from repro.graphs.bipartite import BipartiteGraph
+from repro.graphs.components import Decomposition
 from repro.graphs.simple import Graph
 from repro.obs import context as obs_context
 from repro.obs import events as obs_events
@@ -73,7 +74,7 @@ class SolveTask:
     at dispatch: the worker records and ships observations iff it is set.
     """
 
-    graph: AnyGraph
+    graph: AnyGraph | Decomposition
     method: str
     options: dict[str, Any] = field(default_factory=dict)
     deadline: float | None = None

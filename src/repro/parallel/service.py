@@ -6,7 +6,9 @@ work can fan out across processes and reassemble without changing any
 answer.  The pipeline per batch:
 
 1. **decompose** — every input graph is split into connected components
-   (isolated vertices dropped first, matching the paper's convention);
+   once (:func:`~repro.graphs.components.decompose`; isolated vertices
+   dropped, matching the paper's convention), and each component is
+   solved as its own one-part split;
 2. **dedupe + cache** — each component is fingerprinted
    (:mod:`repro.parallel.fingerprint`); structurally identical
    components collapse into one task, and an installed
@@ -44,7 +46,7 @@ from typing import Any, Sequence
 from repro.core.scheme import PebblingScheme
 from repro.core.solvers.registry import METHODS, SolveResult, solve
 from repro.errors import SolverError
-from repro.graphs.components import component_vertex_sets
+from repro.graphs.components import Decomposition, decompose
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import recorder as obs_recorder
@@ -131,9 +133,7 @@ def _merge_provenance(
 
 
 def assemble_components(
-    graph: AnyGraph,
-    method: str,
-    component_results: Sequence[SolveResult],
+    method: str, component_results: Sequence[SolveResult]
 ) -> SolveResult:
     """Stitch per-component results back into one graph-level result.
 
@@ -141,9 +141,9 @@ def assemble_components(
     transition between two components always moves both pebbles, so the
     stitched raw cost is exactly the sum of component raw costs and the
     effective cost is the sum of component effective costs (Lemma 2.2) —
-    both recomputed from the stitched scheme rather than trusted.
+    both recomputed from the stitched scheme rather than trusted (one
+    result per component, so ``β₀`` is their count).
     """
-    working = graph.without_isolated_vertices()
     if not component_results:
         empty = PebblingScheme(())
         return SolveResult(
@@ -164,11 +164,12 @@ def assemble_components(
     merged_method = methods.pop() if len(methods) == 1 else method
     status = _merge_status([r.status for r in component_results])
     optimal = all(r.optimal for r in component_results)
+    raw_cost = scheme.cost()
     return SolveResult(
         scheme=scheme,
         method=merged_method,
-        effective_cost=scheme.effective_cost(working),
-        raw_cost=scheme.cost(),
+        effective_cost=raw_cost - len(component_results),
+        raw_cost=raw_cost,
         jumps=scheme.jumps(),
         optimal=optimal and status == STATUS_OPTIMAL,
         status=status,
@@ -219,7 +220,7 @@ def solve_many(
         )
 
 
-def _detect_skew(tasks: Sequence[tuple[str, AnyGraph]], jobs: int) -> None:
+def _detect_skew(tasks: Sequence[tuple[str, Decomposition]], jobs: int) -> None:
     """Flag a wave dominated by one huge component (ROADMAP item 3's
     measurement hook).
 
@@ -233,7 +234,7 @@ def _detect_skew(tasks: Sequence[tuple[str, AnyGraph]], jobs: int) -> None:
     """
     if len(tasks) < 2 or not obs_recorder.ON:
         return
-    sizes = [component.num_edges for _key, component in tasks]
+    sizes = [part.graph.num_edges for _key, part in tasks]
     total = sum(sizes)
     biggest = max(sizes)
     if biggest * 2 <= total:
@@ -262,20 +263,20 @@ def _solve_many(
 ) -> list[SolveResult]:
     # 1+2. Decompose and dedupe.  `plans` maps each input graph to its
     # components' (key, canonical form) pairs, in canonical component
-    # order; `pending` holds one representative subgraph per unique
-    # uncached key.  `rep_forms` remembers which component's labels each
-    # deduped result is bound to, so reassembly can rehydrate the scheme
-    # onto structurally identical siblings with different labels.
+    # order; `pending` holds one representative component per unique
+    # uncached key, already split so its solve never splits again.
+    # `rep_forms` remembers which component's labels each deduped result
+    # is bound to, so reassembly can rehydrate the scheme onto
+    # structurally identical siblings with different labels.
     plans: list[list[tuple[str, CanonicalForm]]] = []
     solved: dict[str, SolveResult] = {}
     rep_forms: dict[str, CanonicalForm] = {}
-    pending: dict[str, AnyGraph] = {}
+    pending: dict[str, Decomposition] = {}
     total_components = 0
     for graph in graphs:
-        working = graph.without_isolated_vertices()
         keys: list[tuple[str, CanonicalForm]] = []
-        for vertex_set in component_vertex_sets(working):
-            component = working.subgraph(vertex_set)
+        for part in decompose(graph).each():
+            component = part.graph
             form = canonical_form(component)
             key = cache_key(form, method, options)
             keys.append((key, form))
@@ -288,7 +289,7 @@ def _solve_many(
                 if hit is not None:
                     solved[key] = hit
                     continue
-            pending[key] = component
+            pending[key] = part
         plans.append(keys)
 
     if obs_recorder.ON:
@@ -303,7 +304,7 @@ def _solve_many(
     if tasks:
         _detect_skew(tasks, jobs)
         if (pool is None and jobs == 1) or len(tasks) == 1:
-            for key, component in tasks:
+            for key, part in tasks:
                 pool_mod.emit_task_event(
                     obs_events.EVENT_POOL_TASK_START, key, method, jobs
                 )
@@ -311,7 +312,7 @@ def _solve_many(
                 # and the per-solve consult must not double-count.
                 with use_cache(None):
                     result = solve(
-                        component,
+                        part,
                         method,
                         deadline=share,
                         memo_cap=memo_cap,
@@ -325,16 +326,16 @@ def _solve_many(
         else:
             payloads = [
                 SolveTask(
-                    graph=component,
+                    graph=part,
                     method=method,
                     options=dict(options),
                     deadline=share,
                     memo_cap=memo_cap,
                     recording=obs_recorder.ON,
                 )
-                for _key, component in tasks
+                for _key, part in tasks
             ]
-            keys = [key for key, _component in tasks]
+            keys = [key for key, _part in tasks]
             # A shared WorkerPool outlives the call; a throwaway pool is
             # torn down with it.  Either way dispatch goes through the
             # self-healing dispatcher, which collects in submission order
@@ -352,23 +353,22 @@ def _solve_many(
                 pool_mod.merge_observations(outcome)
                 solved[key] = outcome.result
         if cache is not None:
-            for key, component in tasks:
+            for key, part in tasks:
                 cache.store(
-                    CacheToken(key=key, form=rep_forms[key], graph=component),
+                    CacheToken(key=key, form=rep_forms[key], graph=part.graph),
                     solved[key],
                 )
 
     # 4. Reassemble per input graph, in input order.
     return [
         assemble_components(
-            graph,
             method,
             [
                 rebind_result(solved[key], rep_forms[key], form)
                 for key, form in keys
             ],
         )
-        for graph, keys in zip(graphs, plans)
+        for keys in plans
     ]
 
 

@@ -34,7 +34,8 @@ from repro.engine.executor import execute as engine_execute
 from repro.engine.planner import plan as engine_plan
 from repro.engine.query import JoinQuery
 from repro.errors import GraphError, PredicateError, RelationError
-from repro.graphs.components import component_vertex_sets
+# component_vertex_sets stays imported: perfbench/tracer.py wraps it here.
+from repro.graphs.components import Decomposition, component_vertex_sets, decompose
 from repro.graphs.io import load_bipartite, load_graph
 from repro.joins import predicates as predicate_module
 from repro.obs import context as obs_context
@@ -228,15 +229,14 @@ class Dispatcher:
 
         method = request.method
         options = dict(request.options)
-        working = graph.without_isolated_vertices()
 
         # Decompose + dedupe + consult the shared cache (loop thread).
         keys: list[tuple[str, CanonicalForm]] = []
         solved: dict[str, Any] = {}
         rep_forms: dict[str, CanonicalForm] = {}
-        pending: dict[str, AnyGraph] = {}
-        for vertex_set in component_vertex_sets(working):
-            component = working.subgraph(vertex_set)
+        pending: dict[str, Decomposition] = {}
+        for part in decompose(graph).each():
+            component = part.graph
             form = canonical_form(component)
             key = cache_key(form, method, options)
             keys.append((key, form))
@@ -248,7 +248,7 @@ class Dispatcher:
                 if hit is not None:
                     solved[key] = hit
                     continue
-            pending[key] = component
+            pending[key] = part
 
         cached_components = len(solved)
         tasks = list(pending.items())
@@ -269,10 +269,10 @@ class Dispatcher:
                 # in solve_many's jobs=1 path (pool_mod.solve_task is
                 # worker-only: it resets this process's collectors).  The
                 # ambient cache is masked: it was consulted above.
-                for key, component in tasks:
+                for key, part in tasks:
                     with use_cache(None):
                         solved[key] = registry_solve(
-                            component,
+                            part,
                             method,
                             deadline=share,
                             memo_cap=self.memo_cap,
@@ -285,7 +285,7 @@ class Dispatcher:
                 loop = asyncio.get_running_loop()
                 payloads = [
                     pool_mod.SolveTask(
-                        graph=component,
+                        graph=part,
                         method=method,
                         options=options,
                         deadline=share,
@@ -293,7 +293,7 @@ class Dispatcher:
                         recording=obs_recorder.ON,
                         trace=obs_context.current(),
                     )
-                    for _key, component in tasks
+                    for _key, part in tasks
                 ]
                 # The whole batch goes through the self-healing
                 # dispatcher on a harness thread: it blocks on worker
@@ -308,23 +308,22 @@ class Dispatcher:
                     lambda: pool_mod.dispatch_resilient(
                         self.pool,
                         payloads,
-                        keys=[key for key, _component in tasks],
+                        keys=[key for key, _part in tasks],
                     ),
                 )
-                for (key, _component), outcome in zip(tasks, outcomes):
+                for (key, _part), outcome in zip(tasks, outcomes):
                     pool_mod.merge_observations(outcome)
                     solved[key] = outcome.result
             if self.cache is not None:
-                for key, component in tasks:
+                for key, part in tasks:
                     self.cache.store(
                         CacheToken(
-                            key=key, form=rep_forms[key], graph=component
+                            key=key, form=rep_forms[key], graph=part.graph
                         ),
                         solved[key],
                     )
 
         result = assemble_components(
-            graph,
             method,
             [
                 rebind_result(solved[key], rep_forms[key], form)

@@ -55,6 +55,18 @@ class TestQueries:
         assert g.degree("u0") == 3
         assert g.degree("v0") == 2
 
+    def test_degree_is_neighbor_count(self):
+        g = from_edges([("a", "x"), ("a", "y"), ("b", "y")])
+        g.add_left_vertex("iso")
+        assert all(g.degree(v) == len(g.neighbors(v)) for v in g)
+        with pytest.raises(VertexError):
+            g.degree("ghost")
+
+    def test_neighbors_is_a_copy(self):
+        g = from_edges([("a", "x")])
+        g.neighbors("a").add("intruder")
+        assert g.neighbors("a") == {"x"}
+
     def test_side_of_missing_raises(self):
         with pytest.raises(VertexError):
             BipartiteGraph().side_of("ghost")
@@ -101,6 +113,29 @@ class TestDerived:
         assert set(sub.left) == {"u0"}
         assert set(sub.right) == {"v0", "v1"}
         assert sub.num_edges == 2
+
+    @pytest.mark.parametrize(
+        "keep",
+        [["v2", "u1", "v0", "u0"], ["u0", "u1", "v0", "v2"], {"v0", "u1", "v2", "u0"}],
+    )
+    def test_subgraph_keeps_parent_order(self, keep):
+        g = BipartiteGraph(left=["u1", "u9", "u0"], right=["v2", "v1", "v0"])
+        g.add_edge("u0", "v0")
+        g.add_edge("u1", "v2")
+        sub = g.subgraph(keep)
+        assert sub.left == ["u1", "u0"]
+        assert sub.right == ["v2", "v0"]
+        assert sub.edges() == [("u0", "v0"), ("u1", "v2")]
+
+    def test_subgraph_sees_vertices_added_after_an_earlier_split(self):
+        g = from_edges([("b", "y")])
+        g.subgraph(["b"])
+        g.add_edge("a", "x")
+        assert g.subgraph(["x", "a", "y", "b"]).left == ["b", "a"]
+
+    def test_subgraph_unknown_vertex_raises(self):
+        with pytest.raises(VertexError):
+            complete_bipartite(1, 1).subgraph(["u0", "ghost"])
 
     def test_without_isolated(self):
         g = BipartiteGraph(left=["u", "iso"], right=["v"])

@@ -5,9 +5,10 @@ import pytest
 from repro.errors import GraphError
 from repro.graphs.bipartite import from_edges
 from repro.graphs.components import (
+    Decomposition,
     betti_number,
     component_vertex_sets,
-    connected_components,
+    decompose,
     disjoint_union,
     disjoint_union_many,
     is_connected,
@@ -33,9 +34,9 @@ class TestComponents:
         sets = component_vertex_sets(k23)
         assert set().union(*sets) == set(k23.left) | set(k23.right)
 
-    def test_connected_components_are_subgraphs(self):
+    def test_decompose_components_are_subgraphs(self):
         g = union_of_bicliques([(2, 2), (1, 3)])
-        comps = connected_components(g)
+        comps = decompose(g).components
         assert sorted(c.num_edges for c in comps) == [3, 4]
         assert all(c.is_complete_bipartite() for c in comps)
 
@@ -46,6 +47,41 @@ class TestComponents:
 
     def test_empty_graph_connected(self):
         assert is_connected(Graph())
+
+
+class TestDecompose:
+    def test_drops_isolated_vertices(self):
+        g = from_edges([("a", "x"), ("b", "y")])
+        g.add_left_vertex("iso")
+        g.add_right_vertex("iso2")
+        parts = decompose(g)
+        assert parts.graph is g
+        assert parts.betti == betti_number(g) == 2
+        assert [c.left for c in parts.components] == [["a"], ["b"]]
+
+    def test_components_keep_parent_order_and_first_vertex_order(self):
+        g = from_edges([("r3", "s1"), ("r1", "s2"), ("r2", "s1"), ("r0", "s2")])
+        parts = decompose(g)
+        assert [c.left for c in parts.components] == [["r3", "r2"], ["r1", "r0"]]
+        assert [c.right for c in parts.components] == [["s1"], ["s2"]]
+
+    def test_plain_graph_keeps_parent_order(self):
+        g = Graph(vertices=["z", "c", "y", "a"], edges=[("z", "y"), ("c", "a")])
+        parts = decompose(g)
+        assert [c.vertices for c in parts.components] == [["z", "y"], ["c", "a"]]
+
+    def test_decomposition_passes_through(self):
+        parts = decompose(path_graph(3))
+        assert decompose(parts) is parts
+
+    def test_each_is_one_split_component(self):
+        parts = decompose(union_of_bicliques([(2, 2), (1, 3)]))
+        each = parts.each()
+        assert [p.graph for p in each] == list(parts.components)
+        assert all(isinstance(p, Decomposition) and p.betti == 1 for p in each)
+
+    def test_edgeless_graph_has_no_components(self):
+        assert decompose(Graph(vertices=[1, 2])).betti == 0
 
 
 class TestBettiNumber:

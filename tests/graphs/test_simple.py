@@ -118,6 +118,18 @@ class TestDerived:
         with pytest.raises(VertexError):
             Graph(edges=[("a", "b")]).subgraph(["a", "ghost"])
 
+    @pytest.mark.parametrize("keep", [["c", "z", "a"], ["a", "c", "z"], {"z", "a", "c"}])
+    def test_subgraph_keeps_parent_order(self, keep):
+        g = Graph(vertices=["z", "b", "c", "a"], edges=[("z", "a"), ("c", "a")])
+        assert g.subgraph(keep).vertices == ["z", "c", "a"]
+
+    def test_subgraph_after_remove_vertex_keeps_order(self):
+        g = Graph(vertices=["a", "b", "c"])
+        g.subgraph(["a"])
+        g.remove_vertex("a")
+        g.add_vertex("a")
+        assert g.subgraph(["a", "b", "c"]).vertices == ["b", "c", "a"]
+
     def test_without_isolated_vertices(self):
         g = Graph(vertices=["x"], edges=[("a", "b")])
         assert set(g.without_isolated_vertices().vertices) == {"a", "b"}
