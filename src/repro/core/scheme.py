@@ -81,6 +81,7 @@ class PebblingScheme:
                 )
             configs.append((a, b))
         self._configs: tuple[PebbleConfig, ...] = tuple(configs)
+        self._tally: tuple[int, int] | None = None
 
     @classmethod
     def from_edge_order(
@@ -177,6 +178,23 @@ class PebblingScheme:
     # ------------------------------------------------------------------
     # costs (Definitions 2.1 and 2.2)
     # ------------------------------------------------------------------
+    def _counts(self) -> tuple[int, int]:
+        """``(π̂, jumps)`` from one walk over the transitions, made at most
+        once: the scheme is immutable, and solvers, polish and reassembly
+        all ask for both."""
+        if self._tally is None:
+            configs = self._configs
+            cost = 2 if configs else 0  # initial placement of both pebbles
+            jumps = 0
+            for previous, (a, b) in zip(configs, configs[1:]):
+                # config_transition_cost, inlined: current vertices not
+                # already pebbled.
+                moves = (a not in previous) + (b not in previous)
+                cost += moves
+                jumps += moves == 2
+            self._tally = (cost, jumps)
+        return self._tally
+
     def cost(self, graph: AnyGraph | None = None) -> int:
         """``π̂(P)``: the total number of pebble moves.
 
@@ -184,12 +202,7 @@ class PebblingScheme:
         :meth:`effective_cost` but is not needed: cost is a property of the
         configuration sequence alone.
         """
-        if not self._configs:
-            return 0
-        total = 2  # initial placement of both pebbles
-        for previous, current in zip(self._configs, self._configs[1:]):
-            total += config_transition_cost(previous, current)
-        return total
+        return self._counts()[0]
 
     def effective_cost(self, graph: AnyGraph) -> int:
         """``π(P) = π̂(P) − β₀(G)`` (Def 2.2)."""
@@ -197,11 +210,7 @@ class PebblingScheme:
 
     def jumps(self) -> int:
         """The number of 2-move transitions (the TSP "jumps" of §2.2)."""
-        return sum(
-            1
-            for previous, current in zip(self._configs, self._configs[1:])
-            if config_transition_cost(previous, current) == 2
-        )
+        return self._counts()[1]
 
     def moves(self) -> list[tuple[int, Vertex]]:
         """Expand the scheme into individual pebble moves.

@@ -253,7 +253,9 @@ def solve(
     cache = _current_solve_cache()
     token = None
     if cache is not None:
-        hit, token = cache.consult(parts.graph, method, solver_options)
+        from repro.parallel.cache import cache_token
+
+        hit, token = cache.consult(cache_token(parts, method, solver_options))
         if hit is not None:
             return hit
     if obs_recorder.ON:

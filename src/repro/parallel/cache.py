@@ -43,6 +43,7 @@ from typing import Any, Iterator
 from repro.core.scheme import PebblingScheme
 from repro.core.solvers.registry import SolveResult
 from repro.errors import SchemeError
+from repro.graphs.components import Decomposition, decompose
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import recorder as obs_recorder
@@ -112,12 +113,19 @@ class CacheEntry:
 
 @dataclass(frozen=True)
 class CacheToken:
-    """Everything a post-solve ``store`` needs from the pre-solve lookup,
-    so the canonical form is computed once per solve, not twice."""
+    """One solve's cache identity, built once by :func:`cache_token`.
+
+    :meth:`SolveCache.consult` reads it and the post-solve
+    :meth:`SolveCache.store` reuses it, so a solve is fingerprinted once
+    and a lookup walks no graph.  ``form`` is the canonical form a hit
+    rehydrates onto; ``betti`` is the graph's ``β₀``, so a hit's
+    ``π = π̂ − β₀`` needs no graph walk.
+    """
 
     key: str
     form: CanonicalForm
-    graph: AnyGraph
+    method: str
+    betti: int
 
 
 def options_digest(options: dict[str, Any]) -> str:
@@ -135,6 +143,26 @@ def options_digest(options: dict[str, Any]) -> str:
 
 def cache_key(form: CanonicalForm, method: str, options: dict[str, Any]) -> str:
     return f"{form.fingerprint}:{method}:{options_digest(options)}"
+
+
+def cache_token(
+    graph: AnyGraph | Decomposition, method: str, options: dict[str, Any]
+) -> CacheToken:
+    """The cache identity of solving ``graph``: its canonical form with
+    isolated vertices left out (they carry no edges, so they never change
+    an answer), keyed by method and options.  A graph with no isolated
+    vertices (every batch component) is fingerprinted as is, uncopied."""
+    parts = decompose(graph)
+    working = parts.graph
+    if working.isolated_vertices():
+        working = working.without_isolated_vertices()
+    form = canonical_form(working)
+    return CacheToken(
+        key=cache_key(form, method, options),
+        form=form,
+        method=method,
+        betti=parts.betti,
+    )
 
 
 def entry_from_result(
@@ -160,16 +188,13 @@ def entry_from_result(
     )
 
 
-def result_from_entry(
-    entry: CacheEntry, graph: AnyGraph, form: CanonicalForm
-) -> SolveResult:
-    """Rehydrate a cached entry against ``graph`` (same fingerprint)."""
-    scheme = decode_scheme(entry.scheme, form)
-    working = graph.without_isolated_vertices()
+def result_from_entry(entry: CacheEntry, token: CacheToken) -> SolveResult:
+    """Rehydrate a cached entry onto the consulting graph's canonical form
+    (same fingerprint); ``π = π̂ − β₀`` with ``β₀`` from the token."""
     return SolveResult(
-        scheme=scheme,
+        scheme=decode_scheme(entry.scheme, token.form),
         method=entry.method,
-        effective_cost=scheme.effective_cost(working),
+        effective_cost=entry.raw_cost - token.betti,
         raw_cost=entry.raw_cost,
         jumps=entry.jumps,
         optimal=entry.optimal,
@@ -353,9 +378,9 @@ class CacheStats:
 class SolveCache:
     """The two-tier solve cache the registry and the pool consult.
 
-    ``consult`` returns ``(hit_or_None, token)``; a later ``store(token,
-    result)`` records a clean result under the same key.  Hits found only
-    in the persistent tier are promoted into memory.
+    ``consult(token)`` returns ``(hit_or_None, token)``; a later
+    ``store(token, result)`` records a clean result under the same key.
+    Hits found only in the persistent tier are promoted into memory.
     """
 
     def __init__(
@@ -383,11 +408,9 @@ class SolveCache:
 
     # -- the consult/store pair the registry calls ---------------------
     def consult(
-        self, graph: AnyGraph, method: str, options: dict[str, Any]
+        self, token: CacheToken
     ) -> tuple[SolveResult | None, CacheToken]:
-        form = canonical_form(graph.without_isolated_vertices())
-        key = cache_key(form, method, options)
-        token = CacheToken(key=key, form=form, graph=graph)
+        key = token.key
         tier = "memory"
         with self._lock:
             entry = self.memory.get(key)
@@ -404,8 +427,8 @@ class SolveCache:
                 obs_metrics.inc("parallel.cache.misses")
                 obs_events.emit(
                     obs_events.EVENT_CACHE_MISS,
-                    fingerprint=form.fingerprint[:12],
-                    method=method,
+                    fingerprint=token.form.fingerprint[:12],
+                    method=token.method,
                 )
             return None, token
         with self._lock:
@@ -418,11 +441,11 @@ class SolveCache:
             obs_metrics.inc(f"parallel.cache.hits.{tier}")
             obs_events.emit(
                 obs_events.EVENT_CACHE_HIT,
-                fingerprint=form.fingerprint[:12],
-                method=method,
+                fingerprint=token.form.fingerprint[:12],
+                method=token.method,
                 tier=tier,
             )
-        return result_from_entry(entry, graph, form), token
+        return result_from_entry(entry, token), token
 
     def store(self, token: CacheToken, result: SolveResult) -> bool:
         """Record ``result`` under ``token``; True when actually cached."""
@@ -444,8 +467,8 @@ class SolveCache:
 #
 # Mirrors repro.runtime.budget's ambient stack with one twist:
 # ``use_cache(None)`` *masks* any outer cache (pushes an explicit None),
-# which is how solve_many keeps its per-component solves from re-consulting
-# the cache it already consulted.
+# which is how a batch's inline solves (repro.parallel.pool.solve_inline)
+# keep from re-consulting the cache its planner already consulted.
 
 _CACHE_STACK: list[SolveCache | None] = []
 
@@ -490,6 +513,7 @@ __all__ = [
     "SQLiteCacheTier",
     "SolveCache",
     "cache_key",
+    "cache_token",
     "current_cache",
     "default_cache_path",
     "entry_from_result",

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import SchemeError
 from repro.graphs.bipartite import BipartiteGraph
@@ -53,9 +54,11 @@ class CanonicalForm:
     left_size: int
     edges: tuple[IndexPair, ...]
 
-    @property
+    @cached_property
     def fingerprint(self) -> str:
-        """SHA-256 over the structural content (hex digest)."""
+        """SHA-256 over the structural content (hex digest), hashed once
+        per form: the cache key, its events and the persistent tier all
+        read it."""
         payload = "|".join(
             (
                 self.kind,

@@ -32,12 +32,13 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Any, Sequence
 
 from repro import obs
+from repro.core.solvers import registry
 from repro.core.solvers.registry import SolveResult
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.components import Decomposition
@@ -48,7 +49,10 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
 from repro.obs.context import TraceContext
+from repro.parallel.cache import _reset_ambient_cache, use_cache
 from repro.runtime import faults as faults_mod
+from repro.runtime.anytime import SolveProvenance
+from repro.runtime.budget import _BUDGET_STACK
 
 AnyGraph = Graph | BipartiteGraph
 
@@ -96,18 +100,38 @@ class TaskOutcome:
     spans: tuple[dict[str, Any], ...] = ()
 
 
+def solve_inline(task: SolveTask) -> SolveResult:
+    """Run one component solve in this process — the one solve every
+    batch path makes, in a worker or in the parent.
+
+    The ambient cache is masked (the batch planner already consulted it,
+    and a second consult would double-count) and the task's trace context
+    is active, so every span it records joins the originating request.
+    Observations record straight into this process's collectors.
+    """
+    token = obs_context.activate(task.trace) if task.trace is not None else None
+    try:
+        with use_cache(None):
+            return registry.solve(
+                task.graph,
+                task.method,
+                deadline=task.deadline,
+                memo_cap=task.memo_cap,
+                **task.options,
+            )
+    finally:
+        if token is not None:
+            obs_context.deactivate(token)
+
+
 def solve_task(task: SolveTask) -> TaskOutcome:
     """Run one component solve in a **worker process** and snapshot obs.
 
-    Worker-only: it resets this process's collectors before solving, so
-    the jobs=1 inline path in :func:`repro.parallel.service.solve_many`
-    calls the registry directly instead (same solver code, no snapshot
-    needed because the parent's collectors record in place).
+    Worker-only: it resets this process's collectors, solves through
+    :func:`solve_inline`, and ships what it recorded home.  A batch that
+    solves in the parent (one task, ``jobs=1``, the inline server) calls
+    :func:`solve_inline` directly, recording in place.
     """
-    from repro.core.solvers.registry import solve
-    from repro.parallel.cache import _reset_ambient_cache
-    from repro.runtime.budget import _BUDGET_STACK
-
     if task.crash:
         # Injected worker death: exit hard, bypassing interpreter
         # shutdown, exactly like the kernel's OOM killer would.
@@ -121,22 +145,11 @@ def solve_task(task: SolveTask) -> TaskOutcome:
     else:
         obs.disable()
 
-    # The ambient context makes every top-level span this worker records
+    # The task's context makes every top-level span this worker records
     # carry the originating request's trace_id (and the parent-process
     # dispatch span as remote_parent) — tagged at recording time, so the
     # shipment needs no post-processing.
-    token = obs_context.activate(task.trace) if task.trace is not None else None
-    try:
-        result = solve(
-            task.graph,
-            task.method,
-            deadline=task.deadline,
-            memo_cap=task.memo_cap,
-            **task.options,
-        )
-    finally:
-        if token is not None:
-            obs_context.deactivate(token)
+    result = solve_inline(task)
 
     outcome = TaskOutcome(result=result, counters={}, events=())
     if task.recording:
@@ -176,6 +189,14 @@ def merge_observations(outcome: TaskOutcome) -> None:
         obs_metrics.inc("parallel.pool.spans_adopted", len(adopted))
 
 
+def collect(outcomes: Sequence[TaskOutcome]) -> list[SolveResult]:
+    """Merge each outcome's observations into this process, in submission
+    order, and return the results in that order."""
+    for outcome in outcomes:
+        merge_observations(outcome)
+    return [outcome.result for outcome in outcomes]
+
+
 def preferred_start_method() -> str:
     """``fork`` where available (fast, shares the imported package), else
     the platform default (``spawn`` re-imports ``repro`` per worker)."""
@@ -183,20 +204,14 @@ def preferred_start_method() -> str:
     return "fork" if "fork" in methods else methods[0]
 
 
-def make_executor(jobs: int, task_count: int) -> Executor:
-    """A process pool sized to the work (never more workers than tasks)."""
-    workers = max(1, min(jobs, task_count))
-    context = multiprocessing.get_context(preferred_start_method())
-    return ProcessPoolExecutor(max_workers=workers, mp_context=context)
-
-
 class WorkerPool:
     """A long-lived, re-entrant process pool shared across batch calls.
 
-    ``solve_many`` historically built (and tore down) a throwaway
-    ``ProcessPoolExecutor`` per batch; a persistent front-end (``repro
-    serve``) cannot afford that — worker start-up would dominate every
-    request.  A ``WorkerPool`` owns one executor for its whole lifetime:
+    ``solve_many`` builds (and tears down) a throwaway pool per batch; a
+    persistent front-end (``repro serve``) cannot afford that — worker
+    start-up would dominate every request — so its dispatcher holds one
+    for the server's lifetime.  A ``WorkerPool`` owns one executor for
+    its whole lifetime:
 
     - **lazy**: the executor is created on first use, so constructing a
       pool is free and a server that only ever serves cache hits never
@@ -206,9 +221,8 @@ class WorkerPool:
       ``with`` exits (or :meth:`close` is called explicitly), so a
       service can hold the pool open while individual batches also use
       ``with pool:`` for scoped cleanliness;
-    - **shareable**: any number of concurrent ``solve_many`` calls (or
-      server requests) may submit into one pool; the executor's queue
-      interleaves them.
+    - **shareable**: any number of concurrent server requests may submit
+      into one pool; the executor's queue interleaves them.
 
     After :meth:`close`, the pool is reusable: the next submit lazily
     builds a fresh executor (useful for fork-safety after chaos tests).
@@ -320,29 +334,18 @@ def _quarantine(task: SolveTask, key: str, jobs: int) -> TaskOutcome:
     """Solve a poison task in-parent and brand the result as quarantined.
 
     A task that kept killing workers is taken out of the pool entirely
-    and solved inline (ambient cache masked, same budget share), so the
+    and solved inline (:func:`solve_inline`, same budget share), so the
     batch still completes with a correct answer; the recovery trail lives
     in the result's provenance (:data:`QUARANTINE_MARKER`), a
     ``pool.quarantine`` event, and a ``parallel.pool.quarantines``
     counter — an explicit degraded outcome, never a crash.
     """
-    from repro.core.solvers.registry import solve
-    from repro.parallel.cache import use_cache
-    from repro.runtime.anytime import SolveProvenance
-
     if obs_recorder.ON:
         obs_metrics.inc("parallel.pool.quarantines")
     emit_task_event(
         obs_events.EVENT_POOL_QUARANTINE, key, task.method, jobs
     )
-    with use_cache(None):
-        result = solve(
-            task.graph,
-            task.method,
-            deadline=task.deadline,
-            memo_cap=task.memo_cap,
-            **task.options,
-        )
+    result = solve_inline(task)
     provenance = result.provenance or SolveProvenance()
     provenance = replace(
         provenance,
@@ -457,11 +460,12 @@ __all__ = [
     "SolveTask",
     "TaskOutcome",
     "WorkerPool",
+    "collect",
     "crash_draw",
     "dispatch_resilient",
     "emit_task_event",
-    "make_executor",
     "merge_observations",
     "preferred_start_method",
+    "solve_inline",
     "solve_task",
 ]

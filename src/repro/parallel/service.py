@@ -1,28 +1,31 @@
-"""``solve_many``: the parallel, cache-aware batch solve service.
+"""The batch pipeline behind ``solve_many`` and the solve server.
 
 Lemma 2.2 (additivity) is what makes this safe: the components of a join
 graph are pebbled independently and their costs add, so per-component
-work can fan out across processes and reassemble without changing any
-answer.  The pipeline per batch:
+work can be deduped, cached, solved anywhere and reassembled without
+changing any answer.  One pipeline, two fan-outs:
 
-1. **decompose** — every input graph is split into connected components
-   once (:func:`~repro.graphs.components.decompose`; isolated vertices
-   dropped, matching the paper's convention), and each component is
-   solved as its own one-part split;
-2. **dedupe + cache** — each component is fingerprinted
-   (:mod:`repro.parallel.fingerprint`); structurally identical
+1. **plan** (:func:`plan_batch`) — every input graph is split into
+   connected components once (:func:`~repro.graphs.components.decompose`;
+   isolated vertices dropped, matching the paper's convention); each
+   component is fingerprinted once into a
+   :class:`~repro.parallel.cache.CacheToken`, structurally identical
    components collapse into one task, and an installed
-   :class:`~repro.parallel.cache.SolveCache` is consulted per unique
-   fingerprint;
-3. **fan out** — remaining tasks run on a ``ProcessPoolExecutor``
-   (``jobs`` workers; ``jobs=1`` solves inline with identical code
-   paths), each worker shipping its metrics/events home for merging
-   (:mod:`repro.parallel.pool`);
-4. **reassemble** — per input graph, component schemes are stitched in
-   canonical component order; costs add per Lemma 2.2 (the stitched
-   scheme's cost *equals* the sum of component costs, which
-   :meth:`~repro.core.scheme.PebblingScheme.cost` re-derives), statuses
-   merge to the most degraded, provenance is pooled.
+   :class:`~repro.parallel.cache.SolveCache` is consulted once per
+   unique key with that same token;
+2. **solve** — :meth:`Batch.tasks` builds one
+   :class:`~repro.parallel.pool.SolveTask` per unique miss and the caller
+   fans them out: :func:`solve_many` inline (``jobs=1``) or through a
+   throwaway self-healing pool, the server's dispatcher
+   (:mod:`repro.server.dispatch`) inline on its event loop or through its
+   shared pool.  Every solve, in a worker or not, is
+   :func:`~repro.parallel.pool.solve_inline`;
+3. **finish** (:meth:`Batch.finish`) — misses are stored in the cache,
+   deduped results are rebound onto sibling components, and per input
+   graph the component schemes are stitched in canonical component order;
+   costs add per Lemma 2.2 (the stitched scheme's cost *equals* the sum
+   of component costs, which :meth:`~repro.core.scheme.PebblingScheme.cost`
+   re-derives), statuses merge to the most degraded, provenance is pooled.
 
 Results are **deterministic in the job count**: ``jobs=4`` returns
 byte-identical costs, schemes, and statuses to ``jobs=1``, because task
@@ -38,15 +41,15 @@ never cross the process boundary — only plain numbers do.
 
 from __future__ import annotations
 
-import contextlib
 import math
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Sequence
 
 from repro.core.scheme import PebblingScheme
-from repro.core.solvers.registry import METHODS, SolveResult, solve
+from repro.core.solvers.registry import METHODS, SolveResult
 from repro.errors import SolverError
 from repro.graphs.components import Decomposition, decompose
+from repro.obs import context as obs_context
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import recorder as obs_recorder
@@ -55,16 +58,10 @@ from repro.parallel import pool as pool_mod
 from repro.parallel.cache import (
     CacheToken,
     SolveCache,
-    cache_key,
+    cache_token,
     current_cache,
-    use_cache,
 )
-from repro.parallel.fingerprint import (
-    CanonicalForm,
-    canonical_form,
-    decode_scheme,
-    encode_scheme,
-)
+from repro.parallel.fingerprint import CanonicalForm, decode_scheme, encode_scheme
 from repro.parallel.pool import SolveTask
 from repro.runtime.anytime import (
     STATUS_BUDGET_EXHAUSTED,
@@ -177,6 +174,104 @@ def assemble_components(
     )
 
 
+@dataclass
+class Batch:
+    """A planned batch: the stages both batch paths share.
+
+    :func:`plan_batch` fills it (decompose, fingerprint each component
+    once, dedupe, consult the cache once per unique key);
+    :meth:`tasks` builds the solves for the unique misses; a caller runs
+    them however its fan-out likes and hands the results, in task order,
+    to :meth:`finish` (store, rebind, assemble).
+
+    ``plans`` holds, per input graph, each component's token in canonical
+    component order; ``tokens`` the representative token per unique key
+    (the labels a deduped result is bound to); ``hits`` the keys the
+    cache served; ``pending`` the unique misses, each already split so
+    its solve never splits again.
+    """
+
+    method: str
+    options: dict[str, Any]
+    cache: SolveCache | None
+    plans: list[list[CacheToken]] = field(default_factory=list)
+    tokens: dict[str, CacheToken] = field(default_factory=dict)
+    hits: dict[str, SolveResult] = field(default_factory=dict)
+    pending: dict[str, Decomposition] = field(default_factory=dict)
+
+    @property
+    def components(self) -> int:
+        """Components across every graph, duplicates included."""
+        return sum(len(plan) for plan in self.plans)
+
+    def tasks(
+        self, deadline: float | None, memo_cap: int | None
+    ) -> list[SolveTask]:
+        """One task per pending key, in planning order, under the ambient
+        recording switch and trace context (so worker spans join the
+        originating request)."""
+        return [
+            SolveTask(
+                graph=part,
+                method=self.method,
+                options=self.options,
+                deadline=deadline,
+                memo_cap=memo_cap,
+                recording=obs_recorder.ON,
+                trace=obs_context.current(),
+            )
+            for part in self.pending.values()
+        ]
+
+    def finish(self, results: Sequence[SolveResult]) -> list[SolveResult]:
+        """Store the solved misses, rebind deduped results onto sibling
+        components, and assemble one result per input graph."""
+        solved = dict(self.hits)
+        for key, result in zip(self.pending, results):
+            solved[key] = result
+            if self.cache is not None:
+                self.cache.store(self.tokens[key], result)
+        return [
+            assemble_components(
+                self.method,
+                [
+                    rebind_result(
+                        solved[token.key], self.tokens[token.key].form, token.form
+                    )
+                    for token in plan
+                ],
+            )
+            for plan in self.plans
+        ]
+
+
+def plan_batch(
+    graphs: Sequence[AnyGraph],
+    method: str,
+    options: dict[str, Any],
+    cache: SolveCache | None,
+) -> Batch:
+    """Decompose every graph, fingerprint each component once, dedupe
+    structurally identical components, and consult ``cache`` once per
+    unique key (stages 1–2)."""
+    batch = Batch(method=method, options=options, cache=cache)
+    for graph in graphs:
+        plan: list[CacheToken] = []
+        for part in decompose(graph).each():
+            token = cache_token(part, method, options)
+            plan.append(token)
+            if token.key in batch.tokens:
+                continue
+            batch.tokens[token.key] = token
+            hit = cache.consult(token)[0] if cache is not None else None
+            if hit is None:
+                batch.pending[token.key] = part
+            else:
+                batch.hits[token.key] = hit
+        batch.plans.append(plan)
+    return batch
+
+
 def solve_many(
     graphs: Sequence[AnyGraph],
     method: str = "auto",
@@ -184,7 +279,6 @@ def solve_many(
     cache: SolveCache | None = None,
     deadline: float | None = None,
     memo_cap: int | None = None,
-    pool: pool_mod.WorkerPool | None = None,
     **options: Any,
 ) -> list[SolveResult]:
     """Solve PEBBLE on every graph in ``graphs``; results in input order.
@@ -196,17 +290,9 @@ def solve_many(
     ``deadline`` / ``memo_cap`` are cooperative batch budgets, split
     across workers (see :func:`split_deadline`); remaining ``options``
     are forwarded to :func:`repro.core.solvers.registry.solve`.
-
-    ``pool`` shares a long-lived :class:`~repro.parallel.pool.WorkerPool`
-    across calls (the ``repro serve`` path): tasks are submitted to the
-    existing executor, which is **not** shut down afterwards, and the
-    pool's ``jobs`` governs the wave math.  Without it, a throwaway
-    executor is built per call exactly as before.
     """
     if method not in METHODS:
         raise SolverError(f"unknown method {method!r}; choose from {METHODS}")
-    if pool is not None:
-        jobs = pool.jobs
     if jobs < 1:
         raise SolverError(f"jobs must be >= 1, got {jobs}")
     graphs = list(graphs)
@@ -215,12 +301,50 @@ def solve_many(
     with obs_trace.span(
         "parallel.solve_many", graphs=len(graphs), jobs=jobs, method=method
     ):
-        return _solve_many(
-            graphs, method, jobs, the_cache, deadline, memo_cap, options, pool
+        batch = plan_batch(graphs, method, options, the_cache)
+        if obs_recorder.ON:
+            obs_metrics.inc("parallel.solve_many.calls")
+            obs_metrics.inc("parallel.solve_many.graphs", len(graphs))
+            obs_metrics.inc("parallel.solve_many.components", batch.components)
+            obs_metrics.inc("parallel.pool.tasks", len(batch.pending))
+        tasks = batch.tasks(
+            split_deadline(deadline, len(batch.pending), jobs), memo_cap
         )
+        return batch.finish(_fan_out(batch, tasks, jobs))
 
 
-def _detect_skew(tasks: Sequence[tuple[str, Decomposition]], jobs: int) -> None:
+def _fan_out(
+    batch: Batch, tasks: list[SolveTask], jobs: int
+) -> list[SolveResult]:
+    """``solve_many``'s fan-out (stage 3): inline for ``jobs=1`` or a
+    single task, else a throwaway pool through the self-healing
+    dispatcher, which collects in submission order (reassembly and obs
+    merging stay deterministic) and survives killed workers
+    (docs/ROBUSTNESS.md)."""
+    if not tasks:
+        return []
+    _detect_skew(batch, jobs)
+    if jobs == 1 or len(tasks) == 1:
+        results = []
+        for key, task in zip(batch.pending, tasks):
+            pool_mod.emit_task_event(
+                obs_events.EVENT_POOL_TASK_START, key, batch.method, jobs
+            )
+            result = pool_mod.solve_inline(task)
+            pool_mod.emit_task_event(
+                obs_events.EVENT_POOL_TASK_END, key, batch.method, jobs,
+                status=result.status,
+            )
+            results.append(result)
+        return results
+    with pool_mod.WorkerPool(min(jobs, len(tasks))) as pool:
+        outcomes = pool_mod.dispatch_resilient(
+            pool, tasks, keys=list(batch.pending)
+        )
+    return pool_mod.collect(outcomes)
+
+
+def _detect_skew(batch: Batch, jobs: int) -> None:
     """Flag a wave dominated by one huge component (ROADMAP item 3's
     measurement hook).
 
@@ -232,144 +356,24 @@ def _detect_skew(tasks: Sequence[tuple[str, Decomposition]], jobs: int) -> None:
     counter record the shape, so sharded/skew-aware work has a baseline
     to beat.  Detection only — behaviour is unchanged.
     """
-    if len(tasks) < 2 or not obs_recorder.ON:
+    if len(batch.pending) < 2 or not obs_recorder.ON:
         return
-    sizes = [part.graph.num_edges for _key, part in tasks]
+    keys = list(batch.pending)
+    sizes = [part.graph.num_edges for part in batch.pending.values()]
     total = sum(sizes)
     biggest = max(sizes)
     if biggest * 2 <= total:
         return
-    dominant_key = tasks[sizes.index(biggest)][0]
+    dominant_key = keys[sizes.index(biggest)]
     obs_metrics.inc("parallel.pool.skew")
     obs_events.emit(
         obs_events.EVENT_POOL_SKEW,
         fingerprint=dominant_key.split(":", 1)[0][:12],
         edges=biggest,
         total_edges=total,
-        tasks=len(tasks),
+        tasks=len(keys),
         jobs=jobs,
     )
-
-
-def _solve_many(
-    graphs: list[AnyGraph],
-    method: str,
-    jobs: int,
-    cache: SolveCache | None,
-    deadline: float | None,
-    memo_cap: int | None,
-    options: dict[str, Any],
-    pool: pool_mod.WorkerPool | None = None,
-) -> list[SolveResult]:
-    # 1+2. Decompose and dedupe.  `plans` maps each input graph to its
-    # components' (key, canonical form) pairs, in canonical component
-    # order; `pending` holds one representative component per unique
-    # uncached key, already split so its solve never splits again.
-    # `rep_forms` remembers which component's labels each deduped result
-    # is bound to, so reassembly can rehydrate the scheme onto
-    # structurally identical siblings with different labels.
-    plans: list[list[tuple[str, CanonicalForm]]] = []
-    solved: dict[str, SolveResult] = {}
-    rep_forms: dict[str, CanonicalForm] = {}
-    pending: dict[str, Decomposition] = {}
-    total_components = 0
-    for graph in graphs:
-        keys: list[tuple[str, CanonicalForm]] = []
-        for part in decompose(graph).each():
-            component = part.graph
-            form = canonical_form(component)
-            key = cache_key(form, method, options)
-            keys.append((key, form))
-            total_components += 1
-            if key in solved or key in pending:
-                continue
-            rep_forms[key] = form
-            if cache is not None:
-                hit, _token = cache.consult(component, method, options)
-                if hit is not None:
-                    solved[key] = hit
-                    continue
-            pending[key] = part
-        plans.append(keys)
-
-    if obs_recorder.ON:
-        obs_metrics.inc("parallel.solve_many.calls")
-        obs_metrics.inc("parallel.solve_many.graphs", len(graphs))
-        obs_metrics.inc("parallel.solve_many.components", total_components)
-        obs_metrics.inc("parallel.pool.tasks", len(pending))
-
-    # 3. Fan out (or solve inline) the unique uncached components.
-    tasks = list(pending.items())
-    share = split_deadline(deadline, len(tasks), jobs)
-    if tasks:
-        _detect_skew(tasks, jobs)
-        if (pool is None and jobs == 1) or len(tasks) == 1:
-            for key, part in tasks:
-                pool_mod.emit_task_event(
-                    obs_events.EVENT_POOL_TASK_START, key, method, jobs
-                )
-                # Mask the ambient cache: it was already consulted above,
-                # and the per-solve consult must not double-count.
-                with use_cache(None):
-                    result = solve(
-                        part,
-                        method,
-                        deadline=share,
-                        memo_cap=memo_cap,
-                        **options,
-                    )
-                solved[key] = result
-                pool_mod.emit_task_event(
-                    obs_events.EVENT_POOL_TASK_END, key, method, jobs,
-                    status=result.status,
-                )
-        else:
-            payloads = [
-                SolveTask(
-                    graph=part,
-                    method=method,
-                    options=dict(options),
-                    deadline=share,
-                    memo_cap=memo_cap,
-                    recording=obs_recorder.ON,
-                )
-                for _key, part in tasks
-            ]
-            keys = [key for key, _part in tasks]
-            # A shared WorkerPool outlives the call; a throwaway pool is
-            # torn down with it.  Either way dispatch goes through the
-            # self-healing dispatcher, which collects in submission order
-            # (reassembly and obs merging stay deterministic) and
-            # survives killed workers (docs/ROBUSTNESS.md).
-            if pool is not None:
-                pool_cm: Any = contextlib.nullcontext(pool)
-            else:
-                pool_cm = pool_mod.WorkerPool(max(1, min(jobs, len(tasks))))
-            with pool_cm as live_pool:
-                outcomes = pool_mod.dispatch_resilient(
-                    live_pool, payloads, keys=keys
-                )
-            for key, outcome in zip(keys, outcomes):
-                pool_mod.merge_observations(outcome)
-                solved[key] = outcome.result
-        if cache is not None:
-            for key, part in tasks:
-                cache.store(
-                    CacheToken(key=key, form=rep_forms[key], graph=part.graph),
-                    solved[key],
-                )
-
-    # 4. Reassemble per input graph, in input order.
-    return [
-        assemble_components(
-            method,
-            [
-                rebind_result(solved[key], rep_forms[key], form)
-                for key, form in keys
-            ],
-        )
-        for keys in plans
-    ]
 
 
 def rebind_result(
@@ -391,7 +395,9 @@ def rebind_result(
 
 
 __all__ = [
+    "Batch",
     "assemble_components",
+    "plan_batch",
     "rebind_result",
     "solve_many",
     "split_deadline",

@@ -1,18 +1,22 @@
-"""The server's dispatcher: one request through the parallel solve pipeline.
+"""The server's dispatcher: one request through the batch pipeline.
 
-This is :func:`repro.parallel.service.solve_many` re-plumbed for an
-event loop.  The stages are the same — decompose into components,
-fingerprint, consult the shared two-tier cache, fan the misses out,
-reassemble per Lemma 2.2 — but the fan-out *awaits* worker futures
-instead of blocking on them, so many requests interleave on one
-:class:`~repro.parallel.pool.WorkerPool` without a thread per request.
+A solve request is a one-graph batch through the same pipeline as
+:func:`repro.parallel.service.solve_many`:
+:func:`~repro.parallel.service.plan_batch` decomposes, fingerprints each
+component once, dedupes and consults the shared two-tier cache;
+:meth:`~repro.parallel.service.Batch.finish` stores, rebinds and
+reassembles per Lemma 2.2.  Only the fan-out is the dispatcher's own: it
+*awaits* the solves instead of blocking on them, so many requests
+interleave on one :class:`~repro.parallel.pool.WorkerPool` without a
+thread per request.
 
 Single-threading discipline: every cache consult/store and every
 observability emission happens on the event-loop thread; only the pure
 component solve crosses into a worker process (as a picklable
 :class:`~repro.parallel.pool.SolveTask`), and its shipped observations
 are merged back on the loop thread.  With ``pool=None`` components solve
-inline on the loop thread — the test and smoke configuration, and the
+inline on the loop thread (:func:`~repro.parallel.pool.solve_inline`,
+yielding between solves) — the test and smoke configuration, and the
 degenerate ``jobs=1`` server.
 
 Deadlines propagate as plain numbers: the request's
@@ -29,13 +33,10 @@ from __future__ import annotations
 import asyncio
 from typing import Any
 
-from repro.core.solvers.registry import solve as registry_solve
 from repro.engine.executor import execute as engine_execute
 from repro.engine.planner import plan as engine_plan
 from repro.engine.query import JoinQuery
 from repro.errors import GraphError, PredicateError, RelationError
-# component_vertex_sets stays imported: perfbench/tracer.py wraps it here.
-from repro.graphs.components import Decomposition, component_vertex_sets, decompose
 from repro.graphs.io import load_bipartite, load_graph
 from repro.joins import predicates as predicate_module
 from repro.obs import context as obs_context
@@ -44,13 +45,8 @@ from repro.obs import planquality
 from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
 from repro.parallel import pool as pool_mod
-from repro.parallel.cache import CacheToken, SolveCache, cache_key, use_cache
-from repro.parallel.fingerprint import CanonicalForm, canonical_form
-from repro.parallel.service import (
-    assemble_components,
-    rebind_result,
-    split_deadline,
-)
+from repro.parallel.cache import SolveCache
+from repro.parallel.service import plan_batch, split_deadline
 from repro.relations.io import load_relation
 from repro.runtime import faults
 from repro.runtime.budget import Budget
@@ -61,6 +57,13 @@ from repro.server.protocol import (
     ProtocolError,
     Request,
 )
+
+# Not called here (the batch pipeline calls them from repro.parallel):
+# perfbench/tracer.py looks these names up on this module.
+from repro.core.solvers.registry import solve as registry_solve
+from repro.graphs.components import component_vertex_sets
+from repro.parallel.fingerprint import canonical_form
+from repro.parallel.service import assemble_components, rebind_result
 
 AnyGraph = pool_mod.AnyGraph
 
@@ -227,109 +230,48 @@ class Dispatcher:
         if budget is not None:
             budget.start()
 
-        method = request.method
-        options = dict(request.options)
-
-        # Decompose + dedupe + consult the shared cache (loop thread).
-        keys: list[tuple[str, CanonicalForm]] = []
-        solved: dict[str, Any] = {}
-        rep_forms: dict[str, CanonicalForm] = {}
-        pending: dict[str, Decomposition] = {}
-        for part in decompose(graph).each():
-            component = part.graph
-            form = canonical_form(component)
-            key = cache_key(form, method, options)
-            keys.append((key, form))
-            if key in solved or key in pending:
-                continue
-            rep_forms[key] = form
-            if self.cache is not None:
-                hit, _token = self.cache.consult(component, method, options)
-                if hit is not None:
-                    solved[key] = hit
-                    continue
-            pending[key] = part
-
-        cached_components = len(solved)
-        tasks = list(pending.items())
+        batch = plan_batch(
+            [graph], request.method, dict(request.options), self.cache
+        )
         if obs_recorder.ON:
-            obs_metrics.inc("server.components", len(keys))
-            obs_metrics.inc("server.components.solved", len(tasks))
+            obs_metrics.inc("server.components", batch.components)
+            obs_metrics.inc("server.components.solved", len(batch.pending))
 
         # Fan the misses out — or solve inline when there is no pool.
-        if tasks:
+        results = []
+        if batch.pending:
             jobs = self.pool.jobs if self.pool is not None else 1
-            share = split_deadline(
-                budget.remaining() if budget is not None else None,
-                len(tasks),
-                jobs,
+            tasks = batch.tasks(
+                split_deadline(
+                    budget.remaining() if budget is not None else None,
+                    len(batch.pending),
+                    jobs,
+                ),
+                self.memo_cap,
             )
             if self.pool is None:
-                # Inline on the loop thread — registry.solve directly, as
-                # in solve_many's jobs=1 path (pool_mod.solve_task is
-                # worker-only: it resets this process's collectors).  The
-                # ambient cache is masked: it was consulted above.
-                for key, part in tasks:
-                    with use_cache(None):
-                        solved[key] = registry_solve(
-                            part,
-                            method,
-                            deadline=share,
-                            memo_cap=self.memo_cap,
-                            **options,
-                        )
+                for task in tasks:
+                    results.append(pool_mod.solve_inline(task))
                     # Yield between inline solves so ping/stats requests
                     # on other connections stay responsive.
                     await asyncio.sleep(0)
             else:
-                loop = asyncio.get_running_loop()
-                payloads = [
-                    pool_mod.SolveTask(
-                        graph=part,
-                        method=method,
-                        options=options,
-                        deadline=share,
-                        memo_cap=self.memo_cap,
-                        recording=obs_recorder.ON,
-                        trace=obs_context.current(),
-                    )
-                    for _key, part in tasks
-                ]
                 # The whole batch goes through the self-healing
                 # dispatcher on a harness thread: it blocks on worker
-                # futures (collecting in submission order — deterministic
-                # obs merging and reassembly, same rule as solve_many)
-                # and survives killed workers by healing the shared pool
-                # and re-dispatching only the lost tasks.  The loop
-                # thread just awaits the batch, so other requests keep
-                # interleaving.
+                # futures (collecting in submission order) and survives
+                # killed workers by healing the shared pool and
+                # re-dispatching only the lost tasks.  The loop thread
+                # just awaits the batch, so other requests keep
+                # interleaving, and merges the observations itself.
+                loop = asyncio.get_running_loop()
                 outcomes = await loop.run_in_executor(
                     None,
                     lambda: pool_mod.dispatch_resilient(
-                        self.pool,
-                        payloads,
-                        keys=[key for key, _part in tasks],
+                        self.pool, tasks, keys=list(batch.pending)
                     ),
                 )
-                for (key, _part), outcome in zip(tasks, outcomes):
-                    pool_mod.merge_observations(outcome)
-                    solved[key] = outcome.result
-            if self.cache is not None:
-                for key, part in tasks:
-                    self.cache.store(
-                        CacheToken(
-                            key=key, form=rep_forms[key], graph=part.graph
-                        ),
-                        solved[key],
-                    )
-
-        result = assemble_components(
-            method,
-            [
-                rebind_result(solved[key], rep_forms[key], form)
-                for key, form in keys
-            ],
-        )
+                results = pool_mod.collect(outcomes)
+        [result] = batch.finish(results)
 
         payload: dict[str, Any] = {
             "method": result.method,
@@ -338,9 +280,9 @@ class Dispatcher:
             "jumps": result.jumps,
             "optimal": result.optimal,
             "status": result.status,
-            "components": len(keys),
-            "cached_components": cached_components,
-            "solved_components": len(tasks),
+            "components": batch.components,
+            "cached_components": len(batch.hits),
+            "solved_components": len(batch.pending),
         }
         if result.provenance is not None:
             payload["degradations"] = list(result.provenance.degradations)

@@ -1,10 +1,13 @@
 """Differential tests: one decomposition per solve returns exactly what the
 split-per-solver path returns (``tests/core/split_reference.py``), on every
 method, with and without a deadline, through ``solve``, ``solve_many``
-(jobs 1 and 2) and the server's inline dispatcher; and each ``solve()``
-splits its graph once and copies it never."""
+(jobs 1 and 2) and the server's inline dispatcher; each ``solve()``
+splits its graph once and copies it never; and each batch component is
+fingerprinted once, cache miss or hit."""
 
 import asyncio
+import contextlib
+import sys
 from unittest import mock
 
 import pytest
@@ -22,6 +25,9 @@ from repro.graphs.generators import (
     union_of_bicliques,
 )
 from repro.graphs.io import dump_bipartite
+from repro.parallel.cache import SolveCache
+from repro.parallel.fingerprint import canonical_form
+from repro.parallel.pool import WorkerPool
 from repro.parallel.service import solve_many
 from repro.runtime.clock import FakeClock
 from repro.server.dispatch import Dispatcher
@@ -236,3 +242,57 @@ def test_inline_dispatcher_splits_the_request_graph_once():
 def test_registry_solve_uses_the_traced_split():
     """The split runs through the module global perfbench's tracer wraps."""
     assert registry.component_vertex_sets is components.component_vertex_sets
+
+
+# -- one fingerprint per component ---------------------------------------------
+
+
+def _fingerprinted(run) -> tuple[int, int]:
+    """``(canonical forms computed, isolated-vertex copies)`` made by
+    ``run()``, wherever a ``repro`` module imported ``canonical_form``."""
+    forms = mock.Mock(side_effect=canonical_form)
+    with contextlib.ExitStack() as stack:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and getattr(
+                module, "canonical_form", None
+            ) is canonical_form:
+                stack.enter_context(mock.patch.object(module, "canonical_form", forms))
+        _splits, copies = _counted(run)
+    return forms.call_count, copies
+
+
+def _repeating_batch():
+    """Three graphs, five components, three structures: repeats inside a
+    graph and across graphs."""
+    return [
+        disjoint_union_many([worst_case_family(2), worst_case_family(3)]),
+        disjoint_union_many([worst_case_family(2), worst_case_family(2)]),
+        random_connected_bipartite(4, 4, 9, seed=11),
+    ]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_solve_many_fingerprints_each_component_once(jobs):
+    batch = _repeating_batch()
+    cache = SolveCache()
+    for _round in ("cold miss", "warm hit"):
+        counts = _fingerprinted(lambda: solve_many(batch, jobs=jobs, cache=cache))
+        assert counts == (5, 0), _round
+    assert cache.stats.as_dict() == {
+        "memory_hits": 3, "persistent_hits": 0, "misses": 3, "stores": 3,
+    }
+
+
+@pytest.mark.parametrize("pooled", [False, True])
+def test_dispatcher_fingerprints_each_component_once(pooled):
+    graph = disjoint_union_many([worst_case_family(2)] * 2 + [worst_case_family(3)])
+    # Zero-padded labels keep both copies' canonical vertex order alike.
+    text = dump_bipartite(graph.relabeled({v: f"x{i:03d}" for i, v in enumerate(graph)}))
+    request = Request(id="r", op=OP_SOLVE, graph_text=text, method="auto")
+    cache = SolveCache()
+    with WorkerPool(2) as pool:
+        dispatcher = Dispatcher(cache=cache, pool=pool if pooled else None)
+        for _round in ("cold miss", "warm hit"):
+            counts = _fingerprinted(lambda: asyncio.run(dispatcher.handle(request)))
+            assert counts == (3, 0), _round
+    assert (cache.stats.misses, cache.stats.hits) == (2, 2)

@@ -18,6 +18,7 @@ from repro.parallel.cache import (
     SolveCache,
     SQLiteCacheTier,
     cache_key,
+    cache_token,
     current_cache,
     entry_from_result,
     options_digest,
@@ -81,10 +82,10 @@ class TestMemoryTier:
     def test_hit_matches_cold_solve(self):
         cache = SolveCache()
         g = worst_case_family(3)
-        cold, token = cache.consult(g, "auto", {})
+        cold, token = cache.consult(cache_token(g, "auto", {}))
         assert cold is None
         cache.store(token, solve(g, "auto"))
-        warm, _ = cache.consult(g, "auto", {})
+        warm, _ = cache.consult(cache_token(g, "auto", {}))
         assert warm is not None
         assert _result_fingerprint(warm) == _result_fingerprint(solve(g, "auto"))
         assert cache.stats.memory_hits == 1
@@ -95,23 +96,23 @@ class TestMemoryTier:
         cache = SolveCache()
         a = complete_bipartite(2, 3)
         b = a  # same generator; also test a fresh instance
-        _, token = cache.consult(a, "auto", {})
+        _, token = cache.consult(cache_token(a, "auto", {}))
         cache.store(token, solve(a, "auto"))
-        hit, _ = cache.consult(complete_bipartite(2, 3), "auto", {})
+        hit, _ = cache.consult(cache_token(complete_bipartite(2, 3), "auto", {}))
         assert hit is not None
         assert hit.effective_cost == solve(b, "auto").effective_cost
 
     def test_degraded_results_not_cached(self):
         cache = SolveCache()
         g = worst_case_family(3)
-        _, token = cache.consult(g, "auto", {})
+        _, token = cache.consult(cache_token(g, "auto", {}))
         degraded = solve(g, "auto")
         from dataclasses import replace
 
         assert not cache.store(
             token, replace(degraded, status=STATUS_BUDGET_EXHAUSTED)
         )
-        still_miss, _ = cache.consult(g, "auto", {})
+        still_miss, _ = cache.consult(cache_token(g, "auto", {}))
         assert still_miss is None
 
 
@@ -122,12 +123,12 @@ class TestPersistentTier:
         expected = solve(g, "auto")
 
         first = SolveCache(path=db)
-        _, token = first.consult(g, "auto", {})
+        _, token = first.consult(cache_token(g, "auto", {}))
         first.store(token, expected)
         first.close()
 
         second = SolveCache(path=db)
-        hit, _ = second.consult(g, "auto", {})
+        hit, _ = second.consult(cache_token(g, "auto", {}))
         second.close()
         assert hit is not None
         assert _result_fingerprint(hit) == _result_fingerprint(expected)
@@ -137,13 +138,13 @@ class TestPersistentTier:
         db = tmp_path / "solve-cache.db"
         g = worst_case_family(2)
         seeder = SolveCache(path=db)
-        _, token = seeder.consult(g, "auto", {})
+        _, token = seeder.consult(cache_token(g, "auto", {}))
         seeder.store(token, solve(g, "auto"))
         seeder.close()
 
         cache = SolveCache(path=db)
-        cache.consult(g, "auto", {})  # persistent hit, promoted
-        cache.consult(g, "auto", {})  # now a memory hit
+        cache.consult(cache_token(g, "auto", {}))  # persistent hit, promoted
+        cache.consult(cache_token(g, "auto", {}))  # now a memory hit
         cache.close()
         assert cache.stats.persistent_hits == 1
         assert cache.stats.memory_hits == 1
@@ -268,11 +269,11 @@ class TestRegistryIntegration:
 
 class TestUncacheableSchemes:
     def test_scheme_touching_isolated_vertices_not_cached(self):
-        """consult() fingerprints the graph minus isolated vertices; a
+        """cache_token() fingerprints the graph minus isolated vertices; a
         scheme is encoded against that form, so any configuration on a
         removed vertex makes the entry uncacheable, not wrong."""
         g = worst_case_family(2)
         cache = SolveCache()
-        _, token = cache.consult(g, "auto", {})
+        _, token = cache.consult(cache_token(g, "auto", {}))
         result = solve(g, "auto")
         assert cache.store(token, result)  # normal solves do cache

@@ -5,17 +5,23 @@ The contract under test (docs/ROBUSTNESS.md): a worker killed mid-batch
 is an invisible performance event.  The pool rebuilds, lost tasks
 re-dispatch, poison tasks quarantine to an in-parent solve, and the
 batch's schemes, costs, and statuses are byte-identical to a fault-free
-run.
+run.  Batches through one long-lived pool are the solve server's path,
+so those tests drive the server's ``Dispatcher`` over a shared
+``WorkerPool``: one request per graph, then the whole batch as one
+multi-component request, whose distinct components ship to the pool as
+one multi-task wave (so one crash also loses its siblings).
 """
 
-import pytest
+import asyncio
 
 from repro import obs
 from repro.core.families import worst_case_family
+from repro.graphs.components import disjoint_union_many
 from repro.graphs.generators import (
     matching_graph,
     random_connected_bipartite,
 )
+from repro.graphs.io import dump_bipartite
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.parallel import WorkerPool, solve_many
@@ -27,6 +33,8 @@ from repro.parallel.pool import (
     dispatch_resilient,
 )
 from repro.runtime.faults import FaultPlan, inject
+from repro.server.dispatch import Dispatcher
+from repro.server.protocol import OP_SOLVE, Request
 
 
 def _batch():
@@ -49,6 +57,42 @@ def _fingerprints(results):
             r.status,
         )
         for r in results
+    ]
+
+
+def _serve(graphs, pool=None):
+    """Solve each graph as one request, then their disjoint union as one
+    more, through one dispatcher (its shared pool when given, else
+    inline); the payloads in request order."""
+    dispatcher = Dispatcher(pool=pool)
+    union = disjoint_union_many(graphs)
+    union = union.relabeled(
+        {v: f"{v[0]}.{v[1]}" for v in (*union.left, *union.right)}
+    )
+    requests = list(graphs) + [union]
+
+    async def run():
+        return [
+            await dispatcher.handle(
+                Request(id=str(i), op=OP_SOLVE, graph_text=dump_bipartite(g))
+            )
+            for i, g in enumerate(requests)
+        ]
+
+    return asyncio.run(run())
+
+
+def _served(payloads):
+    return [
+        (
+            p["scheme"],
+            p["effective_cost"],
+            p["raw_cost"],
+            p["jumps"],
+            p["optimal"],
+            p["status"],
+        )
+        for p in payloads
     ]
 
 
@@ -96,22 +140,49 @@ class TestSelfHealing:
         # the full ladder — batch crash, serial retries, quarantine —
         # and the answers still match the fault-free run exactly.
         graphs = _batch()
-        clean = _fingerprints(solve_many(graphs, jobs=2))
+        clean = _served(_serve(graphs))
         with WorkerPool(2) as pool:
             with inject(FaultPlan(seed=3, rates={CRASH_SITE: 1.0})):
-                chaotic = solve_many(graphs, jobs=2, pool=pool)
-        assert _fingerprints(chaotic) == clean
+                chaotic = _serve(graphs, pool)
+        assert _served(chaotic) == clean
 
     def test_partial_crash_rate_is_deterministic_and_identical(self):
         graphs = _batch()
-        clean = _fingerprints(solve_many(graphs, jobs=2))
+        clean = _served(_serve(graphs))
         runs = []
+        trails = []
         for _repeat in range(2):
-            with WorkerPool(2) as pool:
-                with inject(FaultPlan(seed=7, rates={CRASH_SITE: 0.5})):
-                    runs.append(solve_many(graphs, jobs=2, pool=pool))
-        assert _fingerprints(runs[0]) == clean
-        assert _fingerprints(runs[1]) == clean
+            with obs.recording():
+                with WorkerPool(2) as pool:
+                    with inject(FaultPlan(seed=7, rates={CRASH_SITE: 0.5})):
+                        runs.append(_served(_serve(graphs, pool)))
+                trails.append(
+                    [
+                        e.attrs["lost_tasks"]
+                        for e in obs_events.events()
+                        if e.name == "pool.worker_crash"
+                    ]
+                )
+        obs.reset()
+        assert runs[0] == clean
+        assert runs[1] == clean
+        # The union request's four distinct components ship as one wave;
+        # a crash there loses live siblings too, and only that lost
+        # remainder re-dispatches.  Same seed, same crash trail.
+        assert max(trails[0]) > 1
+        assert trails[0] == trails[1]
+
+    def test_shared_pool_outlives_requests(self):
+        # The executor survives every request; without crashes it is
+        # never rebuilt, and a second round reuses it as is.
+        graphs = _batch()
+        with WorkerPool(2) as pool:
+            first = _served(_serve(graphs, pool))
+            executor = pool.executor
+            second = _served(_serve(graphs, pool))
+            assert pool.executor is executor
+            assert pool.generation == 0
+        assert first == second == _served(_serve(graphs))
 
     def test_throwaway_pool_path_also_heals(self):
         graphs = [worst_case_family(2), worst_case_family(3)]
@@ -121,19 +192,16 @@ class TestSelfHealing:
         assert _fingerprints(chaotic) == clean
 
     def test_quarantine_is_recorded_in_provenance(self):
-        # Two distinct components (single-task batches solve inline and
-        # never reach the pool); at rate 1.0 both tasks exhaust their
-        # failure budget and must carry the quarantine marker.
+        # A pooled dispatcher ships even a one-component request to the
+        # pool; at rate 1.0 every task exhausts its failure budget and
+        # must carry the quarantine marker.
         with WorkerPool(2) as pool:
             with inject(FaultPlan(seed=5, rates={CRASH_SITE: 1.0})):
-                results = solve_many(
-                    [worst_case_family(2), worst_case_family(3)],
-                    jobs=2,
-                    pool=pool,
+                payloads = _serve(
+                    [worst_case_family(2), worst_case_family(3)], pool
                 )
-        for result in results:
-            assert result.provenance is not None
-            assert QUARANTINE_MARKER in result.provenance.degradations
+        for payload in payloads:
+            assert QUARANTINE_MARKER in payload["degradations"]
 
     def test_crash_trail_is_observable(self):
         obs.reset()
@@ -141,7 +209,7 @@ class TestSelfHealing:
         try:
             with WorkerPool(2) as pool:
                 with inject(FaultPlan(seed=3, rates={CRASH_SITE: 1.0})):
-                    solve_many(_batch(), jobs=2, pool=pool)
+                    _serve(_batch(), pool)
             names = [e.name for e in obs_events.events()]
             assert "fault.injected" in names
             assert "pool.worker_crash" in names
@@ -152,8 +220,6 @@ class TestSelfHealing:
             # The trail validates against the closed vocabulary.
             assert obs_events.validate_jsonl(obs_events.to_jsonl()) == []
         finally:
-            obs.disable()
-            obs.reset()
             obs.disable()
             obs.reset()
 

@@ -6,6 +6,7 @@ identical across ``jobs=1``, ``jobs=4``, cold cache, and warm cache —
 and identical to a direct ``registry.solve`` on the same graph.
 """
 
+import asyncio
 from collections import Counter
 
 import pytest
@@ -21,9 +22,19 @@ from repro.graphs.generators import (
     matching_graph,
     random_connected_bipartite,
 )
+from repro.graphs.io import dump_bipartite, load_bipartite
 from repro.obs import events as obs_events
+from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.parallel import SolveCache, solve_many, split_deadline, use_cache
+from repro.parallel import (
+    SolveCache,
+    WorkerPool,
+    solve_many,
+    split_deadline,
+    use_cache,
+)
+from repro.server.dispatch import Dispatcher
+from repro.server.protocol import OP_SOLVE, Request
 
 
 def _batch():
@@ -176,6 +187,99 @@ class TestCacheEquivalence:
         assert _fingerprints(cold) == _fingerprints(warm)
         assert second_cache.stats.persistent_hits > 0
         assert second_cache.stats.stores == 0
+
+
+def _parity_texts():
+    """A seeded batch whose components repeat inside a graph and across
+    graphs; zero-padded labels keep every copy's canonical order alike."""
+    graphs = [
+        disjoint_union_many(
+            [worst_case_family(2), worst_case_family(3), worst_case_family(2)]
+        ),
+        disjoint_union_many(
+            [random_connected_bipartite(4, 4, 9, seed=11), worst_case_family(3)]
+        ),
+        random_connected_bipartite(5, 5, 12, seed=4),
+        disjoint_union_many([matching_graph(2), worst_case_family(2)]),
+    ]
+    return [
+        dump_bipartite(g.relabeled({v: f"x{i:03d}" for i, v in enumerate(g)}))
+        for g in graphs
+    ]
+
+
+def _via_solve_many(jobs):
+    def run(cache, text):
+        [result] = solve_many([load_bipartite(text)], jobs=jobs, cache=cache)
+        return (
+            result.method,
+            result.effective_cost,
+            result.raw_cost,
+            result.jumps,
+            result.status,
+            result.optimal,
+            [[str(a), str(b)] for a, b in result.scheme.configurations],
+        )
+
+    return run
+
+
+def _via_dispatcher(pool):
+    def run(cache, text):
+        request = Request(id="r", op=OP_SOLVE, graph_text=text)
+        payload = asyncio.run(Dispatcher(cache=cache, pool=pool).handle(request))
+        return tuple(
+            payload[name]
+            for name in (
+                "method",
+                "effective_cost",
+                "raw_cost",
+                "jumps",
+                "status",
+                "optimal",
+                "scheme",
+            )
+        )
+
+    return run
+
+
+class TestPipelineParity:
+    """``solve_many`` and the server dispatcher run one pipeline: the same
+    requests, cold then warm, give the same answers and the same cache
+    account on every fan-out."""
+
+    def _account(self, run):
+        cache = SolveCache()
+        with obs.recording():
+            answers = [
+                [run(cache, text) for text in _parity_texts()]
+                for _round in ("cold", "warm")
+            ]
+        counters = {
+            name: value
+            for name, value in obs_metrics.snapshot()["counters"].items()
+            if name.startswith("parallel.cache.")
+        }
+        obs.reset()
+        return answers, cache.stats.as_dict(), counters
+
+    def test_every_fan_out_gives_the_same_account(self):
+        with WorkerPool(2) as pool:
+            accounts = {
+                "solve_many jobs=1": self._account(_via_solve_many(1)),
+                "solve_many jobs=2": self._account(_via_solve_many(2)),
+                "inline dispatcher": self._account(_via_dispatcher(None)),
+                "pooled dispatcher": self._account(_via_dispatcher(pool)),
+            }
+        expected = accounts["solve_many jobs=1"]
+        for name, account in accounts.items():
+            assert account == expected, name
+        (cold, warm), stats, _counters = expected
+        assert warm == cold
+        # Repeats across graphs hit even on the cold round; the warm
+        # round is all hits.
+        assert stats["memory_hits"] > stats["misses"] == stats["stores"]
 
 
 class TestBudgets:
