@@ -5,9 +5,7 @@ and the linear-runtime series of Theorem 4.1, gated on its log-log slope.
 Times: the linear solver on a mid-size instance.
 """
 
-import gc
-import math
-import time
+from scaling import best_cpu_seconds, loglog_slope
 
 from repro.analysis.experiments import equijoin_perfect_experiment
 from repro.analysis.report import Table
@@ -26,34 +24,6 @@ def test_equijoin_perfect_table(benchmark, emit):
     assert all(row[3] == "True" for row in table._rows)
 
 
-def _loglog_slope(xs, ys) -> float:
-    """Least-squares slope of log(y) against log(x)."""
-    lx = [math.log(x) for x in xs]
-    ly = [math.log(y) for y in ys]
-    mx = sum(lx) / len(lx)
-    my = sum(ly) / len(ly)
-    return sum((a - mx) * (b - my) for a, b in zip(lx, ly)) / sum(
-        (a - mx) ** 2 for a in lx
-    )
-
-
-def _best_cpu_seconds(fn, runs: int = 3) -> float:
-    """Best CPU time of ``runs`` calls, with the cyclic GC paused as timeit
-    does (CI's --benchmark-disable-gc pauses it too): a full collection
-    walks every live object, including the other sizes' graphs."""
-    best = math.inf
-    for _ in range(runs):
-        gc.collect()
-        gc.disable()
-        try:
-            start = time.process_time()
-            fn()
-            best = min(best, time.process_time() - start)
-        finally:
-            gc.enable()
-    return best
-
-
 def test_linear_time_series(benchmark, emit):
     """``solve(g, "auto")`` on 2×3 bicliques, m = 2.4k to 38.4k: the whole
     front door (component split, equijoin test, snake tours, validation),
@@ -66,11 +36,11 @@ def test_linear_time_series(benchmark, emit):
         for b in block_counts:
             g = graphs[b]
             points.append(
-                (g.num_edges, _best_cpu_seconds(lambda: solve(g, "auto")))
+                (g.num_edges, best_cpu_seconds(lambda: solve(g, "auto")))
             )
 
     benchmark.pedantic(series, rounds=1, iterations=1)
-    slope = _loglog_slope(*zip(*points))
+    slope = loglog_slope(*zip(*points))
     table = Table(
         ["blocks", "m", "cpu_seconds", "us_per_edge"],
         title=(

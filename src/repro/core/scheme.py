@@ -21,6 +21,7 @@ perfect matching with ``m`` edges costs ``2m``, matching Lemma 2.4.  The
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from operator import itemgetter
 from typing import Any
 
 from repro.errors import SchemeError
@@ -92,18 +93,33 @@ class PebblingScheme:
         Every listed pair must be an edge of ``graph``; every edge of
         ``graph`` must be listed exactly once.
         """
-        seen: set[tuple] = set()
-        for u, v in edges:
-            if not graph.has_edge(u, v):
+        pairs = tuple(map(tuple, edges))
+        has_edge = graph.has_edge
+        for u, v in pairs:
+            if not has_edge(u, v):
                 raise SchemeError(f"({u!r}, {v!r}) is not an edge of the graph")
-            if (u, v) in seen or (v, u) in seen:
-                raise SchemeError(f"edge ({u!r}, {v!r}) listed twice")
-            seen.add((u, v))
+        # A pair listed twice, in either orientation, shrinks the set of
+        # listed pairs or meets its own reversal there; only then is the
+        # first repeat looked for.
+        listed = set(pairs)
+        if len(listed) < len(pairs) or not listed.isdisjoint(
+            zip(map(itemgetter(1), pairs), map(itemgetter(0), pairs))
+        ):
+            seen: set[tuple] = set()
+            for u, v in pairs:
+                if (u, v) in seen or (v, u) in seen:
+                    raise SchemeError(f"edge ({u!r}, {v!r}) listed twice")
+                seen.add((u, v))
         # Every listed pair is a distinct edge, so m of them cover them all.
-        missing = graph.num_edges - len(seen)
+        missing = graph.num_edges - len(pairs)
         if missing:
             raise SchemeError(f"{missing} edge(s) never pebbled")
-        return cls(edges)
+        # Each pair is an edge, so two distinct vertices: __init__'s checks
+        # and copy would only repeat that.
+        scheme = cls.__new__(cls)
+        scheme._configs = pairs
+        scheme._tally = None
+        return scheme
 
     # ------------------------------------------------------------------
     @property
@@ -145,10 +161,10 @@ class PebblingScheme:
         for a, b in self._configs:
             if not has_vertex(a) or not has_vertex(b):
                 raise SchemeError(f"configuration ({a!r}, {b!r}) is off the graph")
-        expected = {frozenset(e) for e in graph.edges()}
+        # Every deleted edge is a graph edge, so counting them is enough.
         deleted = self.deleted_edges(graph)
-        if deleted != expected:
-            missing = expected - deleted
+        if len(deleted) != graph.num_edges:
+            missing = {frozenset(e) for e in graph.edges()} - deleted
             raise SchemeError(
                 f"scheme leaves {len(missing)} edge(s) undeleted, e.g. "
                 f"{sorted(map(sorted, missing))[:3]}"

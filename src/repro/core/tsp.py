@@ -17,6 +17,8 @@ Identities implemented and tested:
 
 from __future__ import annotations
 
+import heapq
+from collections import deque
 from collections.abc import Sequence
 
 from repro.errors import SchemeError
@@ -140,38 +142,48 @@ def reorder_paths_greedily(
     the tail edge of one path shares an endpoint with the head edge of the
     next, the junction is free.  This greedy pass chains paths on such
     bonuses; it never increases cost.
+
+    The chain grows from both ends.  Each step takes the first remaining
+    path whose end edges touch the chain's tail or head edge, found through
+    a min-heap of path indices per vertex of an end edge, and appends or
+    prepends it in the first fitting orientation (tail–first, tail–last,
+    head–last, head–first).  A step with no such path appends the first
+    remaining one.  O(k log k) for k paths.
     """
-    remaining = [list(p) for p in paths]
-    if not remaining:
+    if not paths:
         return []
-    # Grow a chain of paths from both ends: try to append a path whose
-    # endpoint matches the chain's tail, or prepend one matching its head.
-    chain: list[list] = [remaining.pop(0)]
-    while remaining:
+    touching: dict = {}
+    for index, path in enumerate(paths):
+        for vertex in (*path[0], *path[-1]):
+            touching.setdefault(vertex, []).append(index)  # sorted: a heap
+    placed = bytearray(len(paths))
+    placed[0] = 1
+    first = 1
+    chain = deque([list(paths[0])])
+    for _ in range(len(paths) - 1):
         tail = chain[-1][-1]
         head = chain[0][0]
-        placed = False
-        for index, path in enumerate(remaining):
+        best = len(paths)
+        for vertex in (*tail, *head):
+            heap = touching[vertex]
+            while heap and placed[heap[0]]:
+                heapq.heappop(heap)
+            if heap and heap[0] < best:
+                best = heap[0]
+        if best == len(paths):
+            while placed[first]:
+                first += 1
+            best = first
+            chain.append(list(paths[best]))
+        else:
+            path = paths[best]
             if edges_share_endpoint(tail, path[0]):
-                chain.append(remaining.pop(index))
-                placed = True
-                break
-            if edges_share_endpoint(tail, path[-1]):
-                chosen = remaining.pop(index)
-                chosen.reverse()
-                chain.append(chosen)
-                placed = True
-                break
-            if edges_share_endpoint(head, path[-1]):
-                chain.insert(0, remaining.pop(index))
-                placed = True
-                break
-            if edges_share_endpoint(head, path[0]):
-                chosen = remaining.pop(index)
-                chosen.reverse()
-                chain.insert(0, chosen)
-                placed = True
-                break
-        if not placed:
-            chain.append(remaining.pop(0))
-    return chain
+                chain.append(list(path))
+            elif edges_share_endpoint(tail, path[-1]):
+                chain.append(list(reversed(path)))
+            elif edges_share_endpoint(head, path[-1]):
+                chain.appendleft(list(path))
+            else:
+                chain.appendleft(list(reversed(path)))
+        placed[best] = 1
+    return list(chain)

@@ -55,7 +55,8 @@ class Decomposition:
     ``components`` holds the induced subgraph of every component that has
     an edge, in order of its first vertex; isolated vertices are dropped,
     as the paper removes them a priori (§2).  Each component keeps the
-    parent's vertex order.  Build one with :func:`decompose`.
+    parent's vertex order; a connected graph without isolated vertices is
+    its own one component, not a copy.  Build one with :func:`decompose`.
     """
 
     graph: AnyGraph
@@ -75,13 +76,13 @@ def decompose(graph: AnyGraph | Decomposition) -> Decomposition:
     """Split ``graph`` into components once; a decomposition passes through."""
     if isinstance(graph, Decomposition):
         return graph
+    vertex_sets = component_vertex_sets(graph)
+    if len(vertex_sets) == 1 and len(vertex_sets[0]) > 1:
+        # Connected with no isolated vertex: the graph is its own induced
+        # subgraph, and a copy would double the working set of every solve.
+        return Decomposition(graph, (graph,))
     return Decomposition(
-        graph,
-        tuple(
-            graph.subgraph(vs)
-            for vs in component_vertex_sets(graph)
-            if len(vs) > 1
-        ),
+        graph, tuple(graph.subgraph(vs) for vs in vertex_sets if len(vs) > 1)
     )
 
 

@@ -19,7 +19,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
-from repro.errors import RelationError
+from repro.errors import RelationError, SchemeError
 from repro.graphs.bipartite import BipartiteGraph
 from repro.obs import metrics as obs_metrics
 from repro.obs import recorder as obs_recorder
@@ -127,7 +127,17 @@ class FetchReport:
 def schedule_report(graph: BipartiteGraph, scheme: PebblingScheme) -> FetchReport:
     """Summarize a page-fetch schedule for the page graph ``graph``."""
     maybe_fail("storage.schedule")
-    scheme.validate(graph.without_isolated_vertices())
+    # Pages that join nothing are off the schedule's graph; check them in
+    # place rather than validating against a copy without them.
+    for a, b in scheme.configurations:
+        if not (
+            graph.has_vertex(a)
+            and graph.degree(a)
+            and graph.has_vertex(b)
+            and graph.degree(b)
+        ):
+            raise SchemeError(f"configuration ({a!r}, {b!r}) is off the graph")
+    scheme.validate(graph)
     m = graph.num_edges
     fetches = page_fetches_of_scheme(scheme)
     if obs_recorder.ON:

@@ -1,5 +1,5 @@
 """Differential tests: the jump-local, interned local search and the
-cached-depth peel return exactly what the quadratic reference returns."""
+incremental peel return exactly what the quadratic reference returns."""
 
 import itertools
 import random
@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.families import worst_case_family
 from repro.core.reductions import Tsp12Instance, improve_tsp12_tour
 from repro.core.scheme import PebblingScheme
-from repro.core.solvers import dfs_approx, local_search
+from repro.core.solvers import dfs_approx, local_search, matching_stitch
 from repro.core.solvers.registry import solve
 from repro.core.tsp import edges_share_endpoint, tour_jumps
 from repro.graphs.components import component_vertex_sets
@@ -111,10 +111,13 @@ def test_passes_match_reference_on_every_small_tsp12_instance():
 @given(graphs())
 def test_peel_chunks_match_depth_walk_reference(graph):
     for vertex_set in component_vertex_sets(graph):
-        line = line_graph(graph.subgraph(vertex_set))
+        component = graph.subgraph(vertex_set)
+        line = line_graph(component)
         root = min(line.vertices, key=repr)
         expected = reference.peel_chunks(dfs_tree(line, root), line)
-        assert dfs_approx._peel_chunks(dfs_tree(line, root), line) == expected
+        edges = component.edges()
+        chunks = [[edges[i] for i in chunk] for chunk in dfs_approx._peel(edges)]
+        assert chunks == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -122,7 +125,11 @@ def test_peel_chunks_match_depth_walk_reference(graph):
 def test_polished_schemes_match_reference(graph, method):
     with mock.patch.object(
         local_search, "improve_tour", reference.improve_tour
-    ), mock.patch.object(dfs_approx, "_peel_chunks", reference.peel_chunks):
+    ), mock.patch.object(
+        dfs_approx, "component_tour_dfs", reference.component_tour_dfs
+    ), mock.patch.object(
+        matching_stitch, "reorder_paths_greedily", reference.reorder_paths_greedily
+    ):
         expected = solve(graph, method).scheme.configurations
     assert solve(graph, method).scheme.configurations == expected
 

@@ -56,6 +56,26 @@ class TestConstruction:
         with pytest.raises(SchemeError):
             PebblingScheme.from_edge_order(path4, path4.edges()[:-1])
 
+    def test_from_edge_order_rejects_repeat_in_place_of_an_edge(self, path4):
+        edges = path4.edges()
+        with pytest.raises(SchemeError, match="listed twice"):
+            PebblingScheme.from_edge_order(path4, edges[:-1] + [edges[0]])
+
+    def test_from_edge_order_rejects_reversed_repeat(self, path4):
+        edges = path4.edges()
+        u, v = edges[0]
+        with pytest.raises(SchemeError, match="listed twice"):
+            PebblingScheme.from_edge_order(path4, edges[:-1] + [(v, u)])
+
+    def test_from_edge_order_takes_either_orientation_and_lists(self, path4):
+        reversed_edges = [(v, u) for u, v in path4.edges()]
+        scheme = PebblingScheme.from_edge_order(
+            path4, [list(e) for e in reversed_edges]
+        )
+        assert scheme.configurations == tuple(reversed_edges)
+        assert scheme == PebblingScheme(reversed_edges)
+        assert scheme.cost() == PebblingScheme(reversed_edges).cost()
+
 
 class TestCosts:
     def test_empty_scheme_costs_zero(self):

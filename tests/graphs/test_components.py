@@ -70,6 +70,16 @@ class TestDecompose:
         parts = decompose(g)
         assert [c.vertices for c in parts.components] == [["z", "y"], ["c", "a"]]
 
+    def test_connected_graph_is_its_own_component(self):
+        g = path_graph(3)
+        assert decompose(g).components == (g,)
+        assert decompose(g).components[0] is g
+        g.add_left_vertex("iso")
+        (component,) = decompose(g).components
+        assert component is not g
+        assert component.edges() == g.edges()
+        assert "iso" not in component.left
+
     def test_decomposition_passes_through(self):
         parts = decompose(path_graph(3))
         assert decompose(parts) is parts

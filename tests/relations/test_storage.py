@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import RelationError
+from repro.core.scheme import PebblingScheme
+from repro.errors import RelationError, SchemeError
 from repro.relations.relation import Relation, TupleRef
 from repro.relations.storage import (
     PagedRelation,
@@ -74,3 +75,20 @@ class TestPageGraph:
         # Two disjoint page pairs: 4 fetches (two cold starts).
         assert report.fetches == 4
         assert report.overhead == 2.0
+
+    def test_configuration_on_isolated_page_rejected(self):
+        r = Relation("R", [1, 1, 3, 3])
+        s = Relation("S", [1, 1])
+        graph = page_connection_graph(
+            PagedRelation(r, 2), PagedRelation(s, 2), lambda a, b: a == b
+        )
+        assert graph.isolated_vertices() == [PageRef("R", 1)]
+        scheme = solve(graph).scheme
+        schedule_report(graph, scheme)  # the solved schedule is fine
+        detour = PebblingScheme(
+            [*scheme.configurations, (PageRef("R", 1), PageRef("S", 0))]
+        )
+        with pytest.raises(SchemeError, match="off the graph"):
+            schedule_report(graph, detour)
+        with pytest.raises(SchemeError, match="off the graph"):
+            schedule_report(graph, PebblingScheme([(PageRef("R", 9), PageRef("S", 0))]))
