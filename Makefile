@@ -14,7 +14,7 @@ test:
 	$(PYTHON) -m pytest tests/
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only --benchmark-disable-gc
+	$(PYTHON) -m pytest benchmarks/ -q
 
 # Bench artifacts go to a scratch directory so repo-root BENCH_<date>.json
 # files stop churning in every PR; the committed comparison point is

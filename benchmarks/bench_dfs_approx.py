@@ -3,7 +3,6 @@
 Regenerates: the DFS-vs-exact quality table, and the runtime series of
 ``solve_dfs_approx`` for m = 1.2k to 20k, gated on its log-log slope
 (Lemma 3.1's construction is linear; ours is O(m log m)).
-Times: the DFS algorithm on a mid-size instance.
 """
 
 from scaling import best_cpu_seconds, loglog_slope
@@ -18,12 +17,12 @@ from repro.core.solvers.dfs_approx import solve_dfs_approx
 MAX_SLOPE = 1.15
 
 
-def test_dfs_quality_table(benchmark, emit):
-    table = benchmark(dfs_approx_experiment, 8, 6)
+def test_dfs_quality_table(emit):
+    table = dfs_approx_experiment(8, 6)
     emit("E-T3.1_dfs_quality", table)
 
 
-def test_dfs_runtime_series(benchmark, emit):
+def test_dfs_runtime_series(emit):
     """``solve_dfs_approx`` on random connected bipartite graphs, m = 1.2k
     to 20k, best of 3 CPU-time runs per size.  The runs go round-robin over
     the sizes, so a spell of contention on a shared host slows every size
@@ -35,14 +34,10 @@ def test_dfs_runtime_series(benchmark, emit):
     }
     results = {n: solve_dfs_approx(g) for n, g in graphs.items()}
     best = dict.fromkeys(sizes, float("inf"))
-
-    def series():
-        for _ in range(3):
-            for n, g in graphs.items():
-                seconds = best_cpu_seconds(lambda: solve_dfs_approx(g), runs=1)
-                best[n] = min(best[n], seconds)
-
-    benchmark.pedantic(series, rounds=1, iterations=1)
+    for _ in range(3):
+        for n, g in graphs.items():
+            seconds = best_cpu_seconds(lambda: solve_dfs_approx(g), runs=1)
+            best[n] = min(best[n], seconds)
     points = [(graphs[n].num_edges, best[n]) for n in sizes]
     slope = loglog_slope(*zip(*points))
     table = Table(
@@ -66,9 +61,3 @@ def test_dfs_runtime_series(benchmark, emit):
         )
     emit("E-T3.1_dfs_runtime", table)
     assert slope <= MAX_SLOPE, f"E-T3.1 slope {slope:.2f} > {MAX_SLOPE}"
-
-
-def test_dfs_single_solve(benchmark):
-    g = random_connected_bipartite(40, 40, extra_edges=20, seed=3)
-    result = benchmark(solve_dfs_approx, g)
-    assert result.effective_cost <= result.guarantee

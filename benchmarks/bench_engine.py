@@ -1,12 +1,11 @@
-"""Engine benchmarks: planner decisions and execution throughput.
+"""Engine benchmark: planner decisions and their pebbling costs.
 
 Regenerates: a table of planner choices with their per-execution pebbling
-ratios across workload shapes.  Times: whole-query execution for each
-predicate class, and a three-way chain.
+ratios across workload shapes.
 """
 
 from repro.analysis.report import Table
-from repro.engine import ChainQuery, JoinQuery, execute, execute_chain, plan
+from repro.engine import JoinQuery, execute
 from repro.joins.predicates import Equality, SetContainment, SpatialOverlap
 from repro.workloads.equijoin import fk_pk_workload, zipf_equijoin_workload
 from repro.workloads.sets import zipf_sets_workload
@@ -16,7 +15,7 @@ from repro.workloads.spatial import (
 )
 
 
-def test_planner_choice_table(benchmark, emit):
+def test_planner_choice_table(emit):
     cases = [
         ("zipf equijoin", JoinQuery(*zipf_equijoin_workload(40, 40, key_universe=8, seed=1), Equality())),
         ("fk-pk", JoinQuery(*fk_pk_workload(60, 40, seed=1), Equality())),
@@ -26,48 +25,20 @@ def test_planner_choice_table(benchmark, emit):
         ("tiny-universe sets", JoinQuery(*zipf_sets_workload(20, 20, universe=8, seed=1), SetContainment())),
     ]
 
-    def run():
-        table = Table(
-            ["workload", "plan", "m", "pi/m", "jumps"],
-            title="Engine: planner choices with execution pebbling metrics",
+    table = Table(
+        ["workload", "plan", "m", "pi/m", "jumps"],
+        title="Engine: planner choices with execution pebbling metrics",
+    )
+    for name, query in cases:
+        result = execute(query)
+        assert result.trace is not None
+        table.add_row(
+            [
+                name,
+                result.plan.algorithm_name,
+                result.output_size,
+                round(result.trace.cost_ratio, 4),
+                result.trace.jumps,
+            ]
         )
-        for name, query in cases:
-            result = execute(query)
-            assert result.trace is not None
-            table.add_row(
-                [
-                    name,
-                    result.plan.algorithm_name,
-                    result.output_size,
-                    round(result.trace.cost_ratio, 4),
-                    result.trace.jumps,
-                ]
-            )
-        return table
-
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
     emit("engine_planner", table)
-
-
-def test_equijoin_query_throughput(benchmark):
-    query = JoinQuery(
-        *zipf_equijoin_workload(200, 200, key_universe=40, seed=3), Equality()
-    )
-    result = benchmark(execute, query, None, False)
-    assert result.output_size > 0
-
-
-def test_spatial_query_throughput(benchmark):
-    query = JoinQuery(
-        *uniform_rectangles_workload(150, 150, seed=3), SpatialOverlap()
-    )
-    result = benchmark(execute, query, None, False)
-    assert result.rows is not None
-
-
-def test_chain_throughput(benchmark):
-    a, b = zipf_equijoin_workload(80, 80, key_universe=20, seed=4)
-    _, c = zipf_equijoin_workload(1, 80, key_universe=20, seed=5)
-    chain = ChainQuery([a, b, c], [Equality(), Equality()])
-    result = benchmark(execute_chain, chain, False)
-    assert result.stages

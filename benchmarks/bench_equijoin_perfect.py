@@ -2,7 +2,6 @@
 
 Regenerates: the perfect-pebbling table (π = m on every equijoin graph)
 and the linear-runtime series of Theorem 4.1, gated on its log-log slope.
-Times: the linear solver on a mid-size instance.
 """
 
 from scaling import best_cpu_seconds, loglog_slope
@@ -18,28 +17,22 @@ from repro.core.solvers.registry import solve
 MAX_SLOPE = 1.25
 
 
-def test_equijoin_perfect_table(benchmark, emit):
-    table = benchmark(equijoin_perfect_experiment, (2, 8, 32))
+def test_equijoin_perfect_table(emit):
+    table = equijoin_perfect_experiment((2, 8, 32))
     emit("E-T3.2_equijoin_perfect", table)
     assert all(row[3] == "True" for row in table._rows)
 
 
-def test_linear_time_series(benchmark, emit):
+def test_linear_time_series(emit):
     """``solve(g, "auto")`` on 2×3 bicliques, m = 2.4k to 38.4k: the whole
     front door (component split, equijoin test, snake tours, validation),
     best of 3 CPU-time runs per size."""
     block_counts = (400, 800, 1600, 3200, 6400)
     graphs = {b: union_of_bicliques([(2, 3)] * b) for b in block_counts}
-    points: list[tuple[int, float]] = []
-
-    def series():
-        for b in block_counts:
-            g = graphs[b]
-            points.append(
-                (g.num_edges, best_cpu_seconds(lambda: solve(g, "auto")))
-            )
-
-    benchmark.pedantic(series, rounds=1, iterations=1)
+    points = [
+        (g.num_edges, best_cpu_seconds(lambda: solve(g, "auto")))
+        for g in graphs.values()
+    ]
     slope = loglog_slope(*zip(*points))
     table = Table(
         ["blocks", "m", "cpu_seconds", "us_per_edge"],
@@ -54,7 +47,7 @@ def test_linear_time_series(benchmark, emit):
     assert slope <= MAX_SLOPE, f"E-T4.1 slope {slope:.2f} > {MAX_SLOPE}"
 
 
-def test_equijoin_single_solve(benchmark):
+def test_equijoin_single_solve():
     g = union_of_bicliques([(4, 4)] * 100)
-    scheme = benchmark(solve_equijoin, g)
+    scheme = solve_equijoin(g)
     assert scheme.effective_cost(g) == g.num_edges

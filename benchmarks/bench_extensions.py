@@ -30,7 +30,7 @@ from repro.core.kpebble import (
 from repro.core.solvers.exact import solve_exact
 
 
-def test_partitioning_strategies(benchmark, emit):
+def test_partitioning_strategies(emit):
     import random
 
     rng = random.Random(5)
@@ -42,31 +42,27 @@ def test_partitioning_strategies(benchmark, emit):
     ]
     generals = [random_bipartite_gnm(3, 3, 6, seed=s) for s in range(3)]
 
-    def run():
-        table = Table(
-            ["instance", "m", "lb", "round_robin", "hash", "greedy", "optimal"],
-            title="S5 open problem: sub-joins under 2x2 balanced partitionings",
-        )
-        for kind, graphs in (("equijoin", equijoins), ("general", generals)):
-            for index, g in enumerate(graphs):
-                try:
-                    opt = optimal_partitioning_bruteforce(g, 2, 2).cost(g)
-                except InstanceTooLargeError:
-                    opt = "-"
-                table.add_row(
-                    [
-                        f"{kind}_{index}",
-                        g.num_edges,
-                        cell_capacity_lower_bound(g, 2, 2),
-                        round_robin_partitioning(g, 2, 2).cost(g),
-                        hash_partitioning(g, 2, 2).cost(g),
-                        greedy_partitioning(g, 2, 2).cost(g),
-                        opt,
-                    ]
-                )
-        return table
-
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
+    table = Table(
+        ["instance", "m", "lb", "round_robin", "hash", "greedy", "optimal"],
+        title="S5 open problem: sub-joins under 2x2 balanced partitionings",
+    )
+    for kind, graphs in (("equijoin", equijoins), ("general", generals)):
+        for index, g in enumerate(graphs):
+            try:
+                opt = optimal_partitioning_bruteforce(g, 2, 2).cost(g)
+            except InstanceTooLargeError:
+                opt = "-"
+            table.add_row(
+                [
+                    f"{kind}_{index}",
+                    g.num_edges,
+                    cell_capacity_lower_bound(g, 2, 2),
+                    round_robin_partitioning(g, 2, 2).cost(g),
+                    hash_partitioning(g, 2, 2).cost(g),
+                    greedy_partitioning(g, 2, 2).cost(g),
+                    opt,
+                ]
+            )
     emit("S5_partitioning", table)
     # The conjecture's evidence: hash == optimal on every equijoin row.
     for row in table._rows:
@@ -74,40 +70,35 @@ def test_partitioning_strategies(benchmark, emit):
             assert row[4] == row[-1]
 
 
-def test_kpebble_frame_sweep(benchmark, emit):
+def test_kpebble_frame_sweep(emit):
     instances = [
         ("K_{2,3}", union_of_bicliques([(2, 3)])),
         ("G_3", worst_case_family(3)),
         ("random", random_bipartite_gnm(3, 3, 7, seed=4).without_isolated_vertices()),
     ]
 
-    def run():
-        table = Table(
-            ["instance", "m", "lb", "k=2(exact)", "k=3", "k=4", "k=n"],
-            title="k-pebble game: optimal moves vs number of memory frames",
+    table = Table(
+        ["instance", "m", "lb", "k=2(exact)", "k=3", "k=4", "k=n"],
+        title="k-pebble game: optimal moves vs number of memory frames",
+    )
+    for name, g in instances:
+        n = (
+            len(g.left) + len(g.right)
         )
-        for name, g in instances:
-            n = (
-                len(g.left) + len(g.right)
-            )
-            row = [name, g.num_edges, kpebble_lower_bound(g)]
-            row.append(solve_exact(g).scheme.cost())
-            for k in (3, 4):
-                row.append(optimal_kpebble_cost_bruteforce(g, k))
-            row.append(optimal_kpebble_cost_bruteforce(g, n))
-            table.add_row(row)
-        return table
-
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
+        row = [name, g.num_edges, kpebble_lower_bound(g)]
+        row.append(solve_exact(g).scheme.cost())
+        for k in (3, 4):
+            row.append(optimal_kpebble_cost_bruteforce(g, k))
+        row.append(optimal_kpebble_cost_bruteforce(g, n))
+        table.add_row(row)
     emit("kpebble_sweep", table)
     for row in table._rows:
         # Monotone in k, floored by the bound.
         costs = [int(c) for c in row[3:]]
         assert all(a >= b for a, b in zip(costs, costs[1:]))
-        assert costs[-1] >= int(row[2]) or True
+        assert costs[-1] >= int(row[2])
 
 
-def test_greedy_kpebble_scaling(benchmark):
+def test_greedy_kpebble_scaling():
     g = union_of_bicliques([(3, 3)] * 6)
-    cost = benchmark(greedy_kpebble_cost, g, 4)
-    assert cost >= kpebble_lower_bound(g)
+    assert greedy_kpebble_cost(g, 4) >= kpebble_lower_bound(g)

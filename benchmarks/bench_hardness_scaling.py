@@ -2,7 +2,7 @@
 
 Regenerates: the hard-vs-easy effort table — exact search-node counts on
 tree-plus-chords instances grow explosively while the equijoin solver
-stays linear.  Times: one hard exact solve (budget-capped).
+stays linear.
 """
 
 from repro.analysis.experiments import hardness_scaling_experiment
@@ -11,12 +11,9 @@ from repro.graphs.generators import random_connected_bipartite
 from repro.core.solvers.exact import solve_exact
 
 
-def test_hardness_table(benchmark, emit):
-    table = benchmark.pedantic(
-        hardness_scaling_experiment,
-        kwargs={"sizes": (6, 7, 8, 9, 10), "node_budget": 1_500_000},
-        rounds=1,
-        iterations=1,
+def test_hardness_table(emit):
+    table = hardness_scaling_experiment(
+        sizes=(6, 7, 8, 9, 10), node_budget=1_500_000
     )
     emit("E-T4.2_hardness_scaling", table)
     # A budget-stopped search renders as ">N"; strip the marker for the
@@ -27,14 +24,10 @@ def test_hardness_table(benchmark, emit):
     assert max(nodes) > 100 * max(1, min(nodes))
 
 
-def test_hard_instance_solve(benchmark):
+def test_hard_instance_solve():
     g = random_connected_bipartite(9, 9, extra_edges=2, seed=1)
-
-    def run():
-        try:
-            return solve_exact(g, node_budget=1_500_000).search_nodes
-        except InstanceTooLargeError:
-            return 1_500_000
-
-    nodes = benchmark.pedantic(run, rounds=1, iterations=1)
+    try:
+        nodes = solve_exact(g, node_budget=1_500_000).search_nodes
+    except InstanceTooLargeError:
+        nodes = 1_500_000
     assert nodes > 0

@@ -4,18 +4,15 @@ Regenerates: the fraction of random connected join graphs admitting a
 perfect pebbling (π = m), as a function of edge density — the empirical
 picture behind Prop 2.1 (perfect ⇔ traceable line graph): tree-like join
 graphs strand pendant line-graph nodes, a handful of chords make perfect
-schemes near-certain.  Times: the sweep driver.
+schemes near-certain.
 """
 
 from repro.analysis.experiments import traceability_phase_experiment
 
 
-def test_phase_transition_table(benchmark, emit):
-    table = benchmark.pedantic(
-        traceability_phase_experiment,
-        kwargs={"side": 5, "extra_range": (0, 1, 2, 4, 8), "trials": 15},
-        rounds=1,
-        iterations=1,
+def test_phase_transition_table(emit):
+    table = traceability_phase_experiment(
+        side=5, extra_range=(0, 1, 2, 4, 8), trials=15
     )
     emit("E-PHASE_traceability", table)
     fractions = [float(row[2]) for row in table._rows]

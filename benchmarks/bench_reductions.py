@@ -2,7 +2,7 @@
 
 Regenerates: the measured α/β tables for both reductions and the gadget's
 certification summary (including the documented negative finding on full
-Fig-2 gadgets).  Times: the reduction experiment driver.
+Fig-2 gadgets).
 """
 
 from repro.analysis.experiments import reduction_experiment
@@ -10,10 +10,8 @@ from repro.analysis.report import Table
 from repro.core.gadgets import default_gadget
 
 
-def test_reduction_tables(benchmark, emit):
-    diamond, incidence = benchmark.pedantic(
-        reduction_experiment, kwargs={"seeds": 5}, rounds=1, iterations=1
-    )
+def test_reduction_tables(emit):
+    diamond, incidence = reduction_experiment(seeds=5)
     emit("E-T4.3_diamond_reduction", diamond)
     emit("E-T4.4_incidence_reduction", incidence)
     # Beta stays within the paper's beta = 1 on every probe.
@@ -22,26 +20,22 @@ def test_reduction_tables(benchmark, emit):
             assert float(row[-1]) <= 1.0 + 1e-9
 
 
-def test_figure2_gadget_certificate(benchmark, emit):
-    def run():
-        gadget = default_gadget()
-        cert = gadget.certify()
-        table = Table(
-            ["property", "status"],
-            title="Figure 2: shipped diamond gadget certificate (10 nodes)",
-        )
-        table.add_row(["degree bound (corners 2, centrals <= 3)", cert.degree_ok])
-        table.add_row(["endpoint property (all Ham paths end at corners)", cert.endpoints_ok])
-        table.add_row(
-            ["corner connectivity", f"5/6 pairs (missing {gadget.missing_pairs()})"]
-        )
-        table.add_row(
-            [
-                "negative finding",
-                "exhaustive template search: no <=14-node gadget has all three",
-            ]
-        )
-        return table
-
-    table = benchmark(run)
+def test_figure2_gadget_certificate(emit):
+    gadget = default_gadget()
+    cert = gadget.certify()
+    table = Table(
+        ["property", "status"],
+        title="Figure 2: shipped diamond gadget certificate (10 nodes)",
+    )
+    table.add_row(["degree bound (corners 2, centrals <= 3)", cert.degree_ok])
+    table.add_row(["endpoint property (all Ham paths end at corners)", cert.endpoints_ok])
+    table.add_row(
+        ["corner connectivity", f"5/6 pairs (missing {gadget.missing_pairs()})"]
+    )
+    table.add_row(
+        [
+            "negative finding",
+            "exhaustive template search: no <=14-node gadget has all three",
+        ]
+    )
     emit("Fig2_gadget", table)

@@ -25,8 +25,8 @@ def loglog_slope(xs, ys) -> float:
 
 def best_cpu_seconds(fn, runs: int = 3) -> float:
     """Best CPU time of ``runs`` calls, with the cyclic GC paused as timeit
-    does (CI's --benchmark-disable-gc pauses it too): a full collection
-    walks every live object, including the other sizes' graphs."""
+    does: a full collection walks every live object, including the other
+    sizes' graphs."""
     best = math.inf
     for _ in range(runs):
         gc.collect()

@@ -271,7 +271,6 @@ def approx_ladder_experiment(seeds: int = 8) -> Table:
         "greedy+polish",
         "matching",
         "matching+polish",
-        "anneal",
     )
     table = Table(
         ["seed", "m", "exact"] + list(methods),

@@ -71,7 +71,6 @@ METHODS = (
     "greedy+polish",
     "matching",
     "matching+polish",
-    "anneal",
 )
 
 
@@ -377,18 +376,6 @@ def _solve(
             scheme = polish_scheme(parts, scheme, budget=budget).scheme
         return _wrap(parts, scheme, method, optimal=False, budget=budget,
                      degradations=degradations)
-
-    if method == "anneal":
-        from repro.core.solvers.anneal import solve_anneal
-
-        result = solve_anneal(
-            parts,
-            seed=options.get("seed", 0),
-            steps=options.get("steps", 4000),
-            budget=budget,
-        )
-        return _wrap(parts, result.scheme, method, optimal=False,
-                     budget=budget, degradations=degradations)
 
     # matching / matching+polish
     result = solve_matching_stitch(parts, budget=budget)

@@ -8,7 +8,6 @@ graph once; every solver, bound and batch path works on that one split.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -25,26 +24,36 @@ def component_vertex_sets(graph: AnyGraph) -> list[set[Vertex]]:
     Components are returned in order of their first vertex, so the output is
     deterministic for a deterministically-built graph.
     """
-    # The stored neighbour sets, in vertex order; neighbors() would copy.
-    adjacency = (
-        {**graph._left, **graph._right}
-        if isinstance(graph, BipartiteGraph)
-        else graph._adjacency
-    )
+    # The stored neighbour maps, walked in place (neighbors() would copy).
+    # A bipartite BFS alternates sides level by level, so each level reads
+    # one side's map; a plain graph has one map for both.
+    if isinstance(graph, BipartiteGraph):
+        sides = [(graph._left, graph._right), (graph._right, graph._left)]
+    else:
+        sides = [(graph._adjacency, graph._adjacency)]
+    total = sum(len(near) for near, _ in sides)
+    covered = 0
     seen: set[Vertex] = set()
     components: list[set[Vertex]] = []
-    for start in adjacency:
-        if start in seen:
-            continue
-        component = {start}
-        queue = deque([start])
-        while queue:
-            for neighbor in adjacency[queue.popleft()]:
-                if neighbor not in component:
-                    component.add(neighbor)
-                    queue.append(neighbor)
-        seen |= component
-        components.append(component)
+    for near, far in sides:
+        for start in near:
+            if start in seen:
+                continue
+            component = {start}
+            level, adjacency, other = [start], near, far
+            while level:
+                following = []
+                for vertex in level:
+                    for neighbor in adjacency[vertex]:
+                        if neighbor not in component:
+                            component.add(neighbor)
+                            following.append(neighbor)
+                level, adjacency, other = following, other, adjacency
+            components.append(component)
+            covered += len(component)
+            if covered == total:
+                return components
+            seen |= component
     return components
 
 

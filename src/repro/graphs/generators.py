@@ -171,10 +171,10 @@ def random_connected_bipartite(
     if n_left < 1 or n_right < 1:
         raise GraphError("both sides need at least one vertex")
     rng = _rng(seed)
-    g = BipartiteGraph(
-        left=[f"u{i}" for i in range(n_left)],
-        right=[f"v{j}" for j in range(n_right)],
-    )
+    # One label object per vertex, shared by every edge end that names it.
+    lefts = [f"u{i}" for i in range(n_left)]
+    rights = [f"v{j}" for j in range(n_right)]
+    g = BipartiteGraph(left=lefts, right=rights)
     # Random alternating spanning tree: attach each new vertex to a random
     # already-attached vertex on the opposite side.
     attached_left = [0]
@@ -186,19 +186,19 @@ def random_connected_bipartite(
     for side, idx in pending:
         if side == "u":
             j = rng.choice(attached_right)
-            g.add_edge(f"u{idx}", f"v{j}")
+            g.add_edge(lefts[idx], rights[j])
             attached_left.append(idx)
         else:
             i = rng.choice(attached_left)
-            g.add_edge(f"u{i}", f"v{idx}")
+            g.add_edge(lefts[i], rights[idx])
             attached_right.append(idx)
     capacity = n_left * n_right - g.num_edges
     for _ in range(min(extra_edges, capacity) * 4):
         if extra_edges <= 0:
             break
         i, j = rng.randrange(n_left), rng.randrange(n_right)
-        if not g.has_edge(f"u{i}", f"v{j}"):
-            g.add_edge(f"u{i}", f"v{j}")
+        if not g.has_edge(lefts[i], rights[j]):
+            g.add_edge(lefts[i], rights[j])
             extra_edges -= 1
     return g
 

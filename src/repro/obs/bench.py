@@ -218,21 +218,6 @@ def _solver_dfs(config: BenchConfig) -> dict[str, Any]:
     }
 
 
-@scenario("solver-anneal", "annealing polish on random graphs (bench_approx_quality)")
-def _solver_anneal(config: BenchConfig) -> dict[str, Any]:
-    from repro.core.solvers.registry import solve
-    from repro.graphs.generators import random_connected_bipartite
-
-    edges = config.size(60, 20)
-    graph = random_connected_bipartite(
-        edges // 4, edges // 4, edges, seed=config.seed + 11
-    )
-    result = solve(
-        graph, "anneal", seed=config.seed, steps=config.size(2000, 300)
-    )
-    return {"m": graph.num_edges, "pi": result.effective_cost}
-
-
 @scenario("solver-batch", "batched component solves via solve_many (parallel service)")
 def _solver_batch(config: BenchConfig) -> dict[str, Any]:
     from repro.core.families import worst_case_family

@@ -7,7 +7,7 @@ this module makes the second solve O(lookup).  Entries are keyed by
 
 (:mod:`repro.parallel.fingerprint` defines the structural fingerprint;
 the options digest covers the solver options that can change the answer,
-e.g. ``seed`` for annealing or ``node_budget`` for exact search).
+e.g. ``node_budget`` for exact search).
 
 Two tiers:
 
@@ -132,9 +132,8 @@ def options_digest(options: dict[str, Any]) -> str:
     """A deterministic digest of the solver options that shape answers.
 
     Budget options never reach here (the registry strips them first);
-    whatever remains (``seed``, ``steps``, ``node_budget``,
-    ``exact_edge_limit``, …) is folded into the key so distinct
-    configurations never collide.
+    whatever remains (``node_budget``, ``exact_edge_limit``, …) is folded
+    into the key so distinct configurations never collide.
     """
     if not options:
         return "-"

@@ -11,7 +11,7 @@ The two styles map onto the two solver shapes in this repo:
 - branch-and-bound / DP searches (``exact``, ``held_karp``) have no useful
   partial state mid-expansion, so they use the raising ``checkpoint()`` and
   let the registry ladder catch :class:`BudgetExhaustedError`;
-- constructive heuristics (``anneal``, ``local_search``,
+- constructive heuristics (``local_search``, ``greedy``,
   ``matching_stitch``, …) always hold a valid scheme, so they ``poll()``
   and simply stop improving when the budget trips.
 

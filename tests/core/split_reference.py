@@ -13,12 +13,9 @@ this returns.
 
 from __future__ import annotations
 
-import random
-
 from repro.core.lower_bounds import path_partition_lower_bound
 from repro.core.scheme import PebblingScheme
 from repro.core.solvers import registry
-from repro.core.solvers.anneal import anneal_component_tour
 from repro.core.solvers.dfs_approx import component_tour_dfs
 from repro.core.solvers.equijoin import biclique_tour
 from repro.core.solvers.exact import DEFAULT_NODE_BUDGET, optimal_component_tour
@@ -97,15 +94,6 @@ def solve_matching_stitch(graph, budget=None) -> PebblingScheme:
     flat: list = []
     for component in _components(graph):
         flat.extend(component_tour_matching(component, budget=budget)[0])
-    return _scheme(graph, flat)
-
-
-def solve_anneal(graph, seed=0, steps=4000, budget=None) -> PebblingScheme:
-    rng = random.Random(seed)
-    flat: list = []
-    for component in _components(graph):
-        start, _chunks = component_tour_dfs(component)
-        flat.extend(anneal_component_tour(start, rng, steps=steps, budget=budget)[0])
     return _scheme(graph, flat)
 
 
@@ -220,9 +208,6 @@ def _solve(graph, method, budget=None, degradations=(), **options) -> SolveResul
         scheme = solve_dfs_approx(graph, budget=budget)
     elif method in ("greedy", "greedy+polish"):
         scheme = solve_greedy(graph, budget=budget)
-    elif method == "anneal":
-        scheme = solve_anneal(graph, seed=options.get("seed", 0),
-                              steps=options.get("steps", 4000), budget=budget)
     else:
         scheme = solve_matching_stitch(graph, budget=budget)
     if method.endswith("+polish"):

@@ -10,7 +10,7 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from repro.core.families import worst_case_family
-from repro.core.solvers import anneal, dfs_approx, matching_stitch
+from repro.core.solvers import dfs_approx, matching_stitch
 from repro.core.solvers.registry import solve
 from repro.core.tsp import reorder_paths_greedily
 from repro.graphs.components import component_vertex_sets
@@ -154,7 +154,7 @@ def test_reorder_paths_greedily_matches_reference(paths):
 @settings(max_examples=40, deadline=None)
 @given(
     st.one_of(connected_bipartite(), hub_graphs(), plain_or_family()),
-    st.sampled_from(["dfs", "dfs+polish", "auto", "matching", "matching+polish", "anneal"]),
+    st.sampled_from(["dfs", "dfs+polish", "auto", "matching", "matching+polish"]),
 )
 def test_solve_results_match_reference(graph, method):
     def outcome():
@@ -171,8 +171,6 @@ def test_solve_results_match_reference(graph, method):
 
     with mock.patch.object(
         dfs_approx, "component_tour_dfs", reference.component_tour_dfs
-    ), mock.patch.object(
-        anneal, "component_tour_dfs", reference.component_tour_dfs
     ), mock.patch.object(
         matching_stitch, "reorder_paths_greedily", reference.reorder_paths_greedily
     ):

@@ -36,9 +36,6 @@ from tests.core import split_reference as reference
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
-# Small anneal runs keep the sweep fast; every method reads the same options.
-OPTIONS = {"steps": 150}
-
 
 def _with_isolated(graph, count: int):
     for i in range(count):
@@ -122,20 +119,18 @@ def test_solve_matches_split_reference(graph):
     for method in METHODS:
         for budget in DEADLINES.values():
             expected = _outcome(
-                lambda: reference.solve(graph, method, **OPTIONS, **budget())
+                lambda: reference.solve(graph, method, **budget())
             )
-            actual = _outcome(lambda: solve(graph, method, **OPTIONS, **budget()))
+            actual = _outcome(lambda: solve(graph, method, **budget()))
             assert actual == expected, method
 
 
 @settings(max_examples=15, deadline=None)
 @given(batch=st.lists(graphs(), min_size=1, max_size=3))
 def test_solve_many_matches_split_reference(batch):
-    for method in ("auto", "dfs+polish", "greedy", "anneal"):
-        expected = [_answer(r) for r in reference.solve_many(batch, method, **OPTIONS)]
-        assert [
-            _answer(r) for r in solve_many(batch, method, jobs=1, **OPTIONS)
-        ] == expected
+    for method in ("auto", "dfs+polish", "greedy"):
+        expected = [_answer(r) for r in reference.solve_many(batch, method)]
+        assert [_answer(r) for r in solve_many(batch, method, jobs=1)] == expected
 
 
 def test_solve_many_two_jobs_matches_split_reference():
@@ -218,7 +213,7 @@ COUNTED_GRAPHS = {
 @pytest.mark.parametrize("method", METHODS)
 def test_each_solve_splits_once_and_never_copies(method, budget, shape):
     graph = COUNTED_GRAPHS[shape]()
-    options = {**OPTIONS, **DEADLINES[budget]()}
+    options = DEADLINES[budget]()
     splits, copies = _counted(lambda: _outcome(lambda: solve(graph, method, **options)))
     assert (splits, copies) == (1, 0)
 

@@ -114,6 +114,12 @@ class TestRandomGenerators:
         assert is_connected(g)
         assert g.num_edges >= 8  # spanning tree size
 
+    def test_random_connected_shares_vertex_labels(self):
+        g = random_connected_bipartite(50, 50, extra_edges=25, seed=1)
+        labels = {id(v) for v in list(g.left) + list(g.right)}
+        for v in list(g.left) + list(g.right):
+            assert all(id(w) in labels for w in g.neighbors(v))
+
     def test_random_tsp12_degree_bound(self):
         g = random_tsp12_graph(20, max_degree=3, seed=1)
         assert g.max_degree() <= 3

@@ -44,8 +44,8 @@ def _result_fingerprint(result):
 class TestKeying:
     def test_options_fold_into_key(self):
         form = canonical_form(worst_case_family(2))
-        assert cache_key(form, "anneal", {"seed": 1}) != cache_key(
-            form, "anneal", {"seed": 2}
+        assert cache_key(form, "exact", {"node_budget": 1}) != cache_key(
+            form, "exact", {"node_budget": 2}
         )
         assert cache_key(form, "exact", {}) != cache_key(form, "auto", {})
 

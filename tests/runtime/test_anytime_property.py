@@ -16,7 +16,7 @@ from repro.runtime import Budget, FakeClock, STATUSES
 
 # Methods that accept arbitrary bipartite graphs (equijoin requires
 # complete-bipartite components, so it is exercised elsewhere).
-GENERAL_METHODS = ("auto", "exact", "dfs+polish", "greedy", "anneal", "matching")
+GENERAL_METHODS = ("auto", "exact", "dfs+polish", "greedy", "matching")
 
 
 @st.composite
