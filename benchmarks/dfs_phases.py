@@ -1,4 +1,4 @@
-"""Per-step CPU time of ``solve_dfs_approx`` over the E-T3.1 series.
+"""Per-step CPU time of ``solve(g, "dfs")`` over the E-T3.1 series.
 
 Not a benchmark (pytest collects only ``bench_*.py``).  It splits the work
 the E-T3.1 slope gate times into its steps, so a slope above the gate's
@@ -6,9 +6,10 @@ bound can be traced to a step: each step's per-edge cost and its own
 log-log slope, best of ``--rounds`` CPU-time runs, round-robin over the
 sizes.  ``tour`` is ``component_tour_dfs``: the repr sort of ``edges()``
 (also shown alone), the peel and the chunk reordering; ``total`` sums the
-steps ``solve_dfs_approx`` runs.  The last row is a control: a loop of
-integer additions, ``m`` times a constant, which touches no per-edge
-object, timed the same way.
+steps ``solve(g, "dfs")`` runs: the split, the tour, the registry's one
+scheme build (which validates it) and the cost walk.  The last row is a
+control: a loop of integer additions, ``m`` times a constant, which
+touches no per-edge object, timed the same way.
 
     PYTHONPATH=src python benchmarks/dfs_phases.py [--rounds 25] [--sizes N ...]
 

@@ -26,8 +26,8 @@ from repro.core.families import (
     worst_case_family,
     worst_case_scheme,
 )
+from repro.core.costs import effective_cost_bounds
 from repro.core.lower_bounds import effective_cost_lower_bound
-from repro.core.solvers.dfs_approx import solve_dfs_approx
 from repro.core.solvers.equijoin import solve_equijoin
 from repro.core.solvers.exact import solve_exact
 from repro.core.solvers.registry import solve
@@ -107,14 +107,14 @@ def dfs_approx_experiment(seeds: int = 10, size: int = 7) -> Table:
     )
     for seed in range(seeds):
         graph = random_connected_bipartite(size, size, extra_edges=3, seed=seed)
-        result = solve_dfs_approx(graph)
+        result = solve(graph, "dfs")
         exact = solve_exact(graph).effective_cost
         table.add_row(
             [
                 seed,
                 graph.num_edges,
                 result.effective_cost,
-                result.guarantee,
+                effective_cost_bounds(graph)[1],
                 exact,
                 round(ratio(result.effective_cost, exact), 4),
             ]

@@ -25,8 +25,8 @@ from repro.graphs.simple import Graph
 from repro.core.costs import effective_cost_bounds
 from repro.core.lower_bounds import effective_cost_lower_bound
 from repro.core.scheme import PebblingScheme
-from repro.core.solvers.dfs_approx import solve_dfs_approx
 from repro.core.solvers.exact import DEFAULT_NODE_BUDGET, solve_exact
+from repro.core.solvers.registry import solve
 
 AnyGraph = Graph | BipartiteGraph
 
@@ -86,7 +86,7 @@ def decide_pebble(
     _, upper = effective_cost_bounds(parts)
     if threshold >= upper:
         # Theorem 3.1's constructive bound settles it; produce the witness.
-        result = solve_dfs_approx(parts)
+        result = solve(parts, "dfs")
         if result.effective_cost <= threshold:
             return PebbleDecision(
                 answer=True,

@@ -14,17 +14,33 @@ most ``min(deg(x), 2)`` of them, giving
     p ≥ n_L − ⌊Σ_x min(deg_{L(G)}(x), 2) / 2⌋.
 
 Applied to the corona line graphs of Fig 1 this reproduces Theorem 3.3's
-``J ≥ m/4 − 1`` exactly.
+``J ≥ m/4 − 1`` exactly.  Since ``deg_{L(G)}(uv) = deg(u) + deg(v) − 2``,
+the bound needs only the degrees of ``G``: ``L(G)`` is never built.
 """
 
 from __future__ import annotations
 
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.components import Decomposition, decompose
-from repro.graphs.line_graph import line_graph
 from repro.graphs.simple import Graph
 
 AnyGraph = Graph | BipartiteGraph
+
+
+def _capacity_bound(degrees: list[int]) -> int:
+    """``max(1, n − ⌊Σ min(deg, 2)/2⌋)`` over ``n`` line-graph degrees,
+    or 0 for no nodes."""
+    if not degrees:
+        return 0
+    return max(1, len(degrees) - sum(min(d, 2) for d in degrees) // 2)
+
+
+def _line_degrees(component: AnyGraph) -> list[int]:
+    """The degree of every node of ``L(component)``, without building it:
+    edge ``uv`` touches the other ``deg(u) − 1`` edges at ``u`` and
+    ``deg(v) − 1`` at ``v``, and no edge is at both in a simple graph."""
+    degree = component.degree
+    return [degree(u) + degree(v) - 2 for u, v in component.edges()]
 
 
 def path_partition_lower_bound(line: Graph) -> int:
@@ -37,21 +53,18 @@ def path_partition_lower_bound(line: Graph) -> int:
       module docstring;
     - the trivial bound 1.
     """
-    n = line.num_vertices
-    if n == 0:
-        return 0
-    capacity = sum(min(line.degree(v), 2) for v in line.vertices) // 2
-    return max(1, n - capacity)
+    return _capacity_bound([line.degree(v) for v in line.vertices])
 
 
 def jump_lower_bound(graph: AnyGraph | Decomposition) -> int:
     """A lower bound on the total number of jumps of any scheme for
     ``graph``, summed over connected components.
 
-    Per component ``c``: ``J_c ≥ path_partition_lower_bound(L(c)) − 1``.
+    Per component ``c``: ``J_c ≥ path_partition_lower_bound(L(c)) − 1``,
+    computed from the degrees of ``c``.
     """
     return sum(
-        path_partition_lower_bound(line_graph(component)) - 1
+        _capacity_bound(_line_degrees(component)) - 1
         for component in decompose(graph).components
     )
 
@@ -75,30 +88,16 @@ def component_deficiency_report(graph: AnyGraph | Decomposition) -> list[dict]:
     """
     report = []
     for sub in decompose(graph).components:
-        line = line_graph(sub)
-        p_lb = path_partition_lower_bound(line)
-        degree_one = sum(1 for v in line.vertices if line.degree(v) == 1)
+        degrees = _line_degrees(sub)
+        p_lb = _capacity_bound(degrees)
         report.append(
             {
                 "edges": sub.num_edges,
-                "line_nodes": line.num_vertices,
-                "line_degree_one_nodes": degree_one,
+                "line_nodes": len(degrees),
+                "line_degree_one_nodes": degrees.count(1),
                 "path_partition_lb": p_lb,
                 "jump_lb": p_lb - 1,
                 "effective_cost_lb": sub.num_edges + p_lb - 1,
             }
         )
     return report
-
-
-def isolated_line_nodes_bound(line: Graph) -> int:
-    """A second path-partition bound: isolated line-graph nodes each need
-    their own path, so ``p ≥ #isolated + (1 if anything else remains)``.
-
-    An isolated node of ``L(G)`` is an edge of ``G`` sharing no endpoint
-    with any other edge — i.e. a matching edge in its own component.  This
-    is how Lemma 2.4's ``π̂ = 2m`` for matchings falls out of the framework.
-    """
-    isolated = len(line.isolated_vertices())
-    rest = line.num_vertices - isolated
-    return isolated + (1 if rest else 0)

@@ -154,6 +154,28 @@ class _PathPartitionSearch:
         result = self._search(self.full, [], max_paths)
         return result
 
+    def minimum(self) -> tuple[list[list[int]], int]:
+        """A minimum partition by iterative deepening from the deficiency
+        lower bound (the first level that succeeds is optimal), and the
+        number of levels searched."""
+        if self.n == 0:
+            return [], 0
+        lower = self._partition_lb(self.full)
+        for p in range(lower, self.n + 1):
+            # One span per iterative-deepening level: the profile shows how
+            # much of the exponential blow-up each extra path level costs.
+            with obs_trace.span("solver.exact.level", paths=p):
+                if obs_recorder.ON:
+                    obs_events.emit(
+                        obs_events.EVENT_SOLVER_PHASE,
+                        phase="exact.deepening",
+                        paths=p,
+                    )
+                partition = self.solve(p)
+            if partition is not None:
+                return partition, p - lower + 1
+        raise AssertionError("a partition into n singleton paths always exists")
+
     def _search(
         self, unvisited: int, done: list[list[int]], budget: int
     ) -> list[list[int]] | None:
@@ -241,21 +263,8 @@ def minimum_path_partition(
     optimality of the first partition found.
     """
     search = _PathPartitionSearch(line, node_budget, budget=budget)
-    if search.n == 0:
-        return []
-    lower = search._partition_lb(search.full)
-    for p in range(lower, search.n + 1):
-        with obs_trace.span("solver.exact.level", paths=p):
-            if obs_recorder.ON:
-                obs_events.emit(
-                    obs_events.EVENT_SOLVER_PHASE,
-                    phase="exact.deepening",
-                    paths=p,
-                )
-            partition = search.solve(p)
-        if partition is not None:
-            return [[search.order[i] for i in path] for path in partition]
-    raise AssertionError("a partition into n singleton paths always exists")
+    partition, _levels = search.minimum()
+    return [[search.order[i] for i in path] for path in partition]
 
 
 def optimal_component_tour(
@@ -273,27 +282,14 @@ def optimal_component_tour(
     with obs_trace.span("solver.exact.line_graph"):
         line = line_graph(component)
     search = _PathPartitionSearch(line, node_budget, budget=budget)
-    lower = search._partition_lb(search.full)
-    for p in range(lower, max(search.n, 1) + 1):
-        # One span per iterative-deepening level: the profile shows how
-        # much of the exponential blow-up each extra path level costs.
-        with obs_trace.span("solver.exact.level", paths=p):
-            if obs_recorder.ON:
-                obs_events.emit(
-                    obs_events.EVENT_SOLVER_PHASE,
-                    phase="exact.deepening",
-                    paths=p,
-                )
-            partition = search.solve(p)
-        if partition is not None:
-            if obs_recorder.ON:
-                obs_metrics.inc("solver.exact.search_nodes", search.nodes_expanded)
-                obs_metrics.inc("solver.exact.pruned_branches", search.pruned)
-                obs_metrics.inc("solver.exact.bound_checks", search.bound_checks)
-                obs_metrics.inc("solver.exact.deepening_levels", p - lower + 1)
-            paths = [[search.order[i] for i in path] for path in partition]
-            return tour_from_paths(paths), search.nodes_expanded
-    raise AssertionError("unreachable: singleton partition always works")
+    partition, levels = search.minimum()
+    if obs_recorder.ON:
+        obs_metrics.inc("solver.exact.search_nodes", search.nodes_expanded)
+        obs_metrics.inc("solver.exact.pruned_branches", search.pruned)
+        obs_metrics.inc("solver.exact.bound_checks", search.bound_checks)
+        obs_metrics.inc("solver.exact.deepening_levels", levels)
+    paths = [[search.order[i] for i in path] for path in partition]
+    return tour_from_paths(paths), search.nodes_expanded
 
 
 def solve_exact(
@@ -353,12 +349,10 @@ def exact_search_effort(
     way, so both arms stay bounded."""
     total = 0
     for component in decompose(graph).components:
-        line = line_graph(component)
-        search = _PathPartitionSearch(line, node_budget, use_ordering=use_ordering)
-        lower = search._partition_lb(search.full)
-        for p in range(lower, max(search.n, 1) + 1):
-            if search.solve(p) is not None:
-                break
+        search = _PathPartitionSearch(
+            line_graph(component), node_budget, use_ordering=use_ordering
+        )
+        search.minimum()
         total += search.nodes_expanded
     return total
 

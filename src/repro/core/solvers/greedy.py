@@ -11,23 +11,14 @@ against the certified 1.25 algorithm and the exact optimum.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.components import Decomposition, decompose
 from repro.graphs.line_graph import intern_edges
 from repro.graphs.simple import Graph
-from repro.core.scheme import PebblingScheme
 from repro.runtime.budget import Budget
 
 AnyGraph = Graph | BipartiteGraph
-
-
-@dataclass(frozen=True)
-class GreedyResult:
-    scheme: PebblingScheme
-    effective_cost: int
-    jumps: int
 
 
 def component_tour_greedy(component: AnyGraph) -> list:
@@ -86,21 +77,16 @@ def component_tour_greedy(component: AnyGraph) -> list:
 
 def solve_greedy(
     graph: AnyGraph | Decomposition, budget: Budget | None = None
-) -> GreedyResult:
-    """Greedy scheme over every component of ``graph``.
+) -> list[list]:
+    """Greedy tours over every component of ``graph``: one tour per
+    component, in component order.
 
     It always runs to completion: a ``budget`` is polled per component for
     accounting but never stops the solve.
     """
-    parts = decompose(graph)
-    flat: list = []
-    for component in parts.components:
+    tours: list[list] = []
+    for component in decompose(graph).components:
         if budget is not None:
             budget.poll(max(1, component.num_edges))
-        flat.extend(component_tour_greedy(component))
-    scheme = PebblingScheme.from_edge_order(parts.graph, flat)
-    return GreedyResult(
-        scheme=scheme,
-        effective_cost=scheme.cost() - parts.betti,
-        jumps=scheme.jumps(),
-    )
+        tours.append(component_tour_greedy(component))
+    return tours

@@ -37,19 +37,15 @@ from __future__ import annotations
 from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass
 
-from repro.graphs.bipartite import BipartiteGraph
 # component_vertex_sets stays imported: perfbench/tracer.py wraps it here.
-from repro.graphs.components import Decomposition, component_vertex_sets, decompose
+from repro.graphs.components import component_vertex_sets
 from repro.graphs.line_graph import intern_edges
-from repro.graphs.simple import Graph
-from repro.core.scheme import PebblingScheme
 from repro.core.tsp import edges_share_endpoint, tour_cost
 from repro.obs import metrics as obs_metrics
 from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
 from repro.runtime.budget import Budget
 
-AnyGraph = Graph | BipartiteGraph
 Adjacency = Callable[[Hashable, Hashable], bool]
 Neighbours = Callable[[Hashable], Iterable[Hashable]]
 
@@ -191,16 +187,10 @@ def or_opt_pass(
     return False
 
 
-def improve_tour(
+def _local_optimum(
     tour: list, max_rounds: int = 10_000, budget: Budget | None = None
-) -> list:
-    """Run 2-opt and or-opt to a local optimum; returns the improved tour.
-
-    The input list is not modified.  The tour's edges are interned once to
-    int endpoint pairs, listed per endpoint, searched, and mapped back.
-    Anytime: the tour is valid between passes, so a tripped ``budget`` just
-    stops improving early.
-    """
+) -> tuple[list, int]:
+    """:func:`improve_tour`'s search: ``(improved tour, jumps removed)``."""
     tail, head, incidence = intern_edges(tour)
     working = list(zip(tail, head))
     edge_of = dict(zip(working, tour))
@@ -220,53 +210,51 @@ def improve_tour(
         if or_opt_pass(working, edges_share_endpoint, neighbours):
             continue
         break
-    assert tour_cost(working) <= initial_cost
-    return [edge_of[pair] for pair in working]
+    # A tour costs its length plus its jumps, and the length is fixed.
+    removed = initial_cost - tour_cost(working)
+    assert removed >= 0
+    return [edge_of[pair] for pair in working], removed
+
+
+def improve_tour(
+    tour: list, max_rounds: int = 10_000, budget: Budget | None = None
+) -> list:
+    """Run 2-opt and or-opt to a local optimum; returns the improved tour.
+
+    The input list is not modified.  The tour's edges are interned once to
+    int endpoint pairs, listed per endpoint, searched, and mapped back.
+    Anytime: the tour is valid between passes, so a tripped ``budget`` just
+    stops improving early.
+    """
+    return _local_optimum(tour, max_rounds, budget)[0]
 
 
 @dataclass(frozen=True)
 class PolishResult:
-    scheme: PebblingScheme
-    effective_cost: int
-    jumps: int
-    improvement: int  # jumps removed relative to the input scheme
+    """Polished per-component tours and the jumps polish removed."""
+
+    tours: list[list]
+    improvement: int  # jumps removed from the input tours
 
 
 def polish_scheme(
-    graph: AnyGraph | Decomposition,
-    scheme: PebblingScheme,
-    budget: Budget | None = None,
+    tours: list[list], budget: Budget | None = None
 ) -> PolishResult:
-    """Improve a canonical scheme with local search, per component.
+    """Improve each component's tour with local search.
 
-    The scheme must be an edge order.  Each component's slice of the order
-    is polished independently (cross-component steps are unavoidable jumps).
+    ``tours`` are the per-component tours a constructive solver returns,
+    in component order.  Each is polished on its own (the steps between
+    components are unavoidable jumps), so the polished tours, placed one
+    after another, pebble the same graph.
     """
-    parts = decompose(graph)
-    by_component: list[list] = [[] for _ in parts.components]
-    component_of = {
-        v: index
-        for index, component in enumerate(parts.components)
-        for v in component
-    }
-    bipartite = isinstance(parts.graph, BipartiteGraph)
-    for a, b in scheme.configurations:
-        by_component[component_of[a]].append(
-            parts.graph.orient_edge(a, b) if bipartite else (a, b)
-        )
-    flat: list = []
+    polished: list[list] = []
+    improvement = 0
     with obs_trace.span("solver.polish"):
-        for tour in by_component:
-            flat.extend(improve_tour(tour, budget=budget))
-    improved = PebblingScheme.from_edge_order(parts.graph, flat)
+        for tour in tours:
+            better, removed = _local_optimum(tour, budget=budget)
+            polished.append(better)
+            improvement += removed
     if obs_recorder.ON:
         obs_metrics.inc("solver.polish.passes")
-        obs_metrics.inc(
-            "solver.polish.jumps_removed", scheme.jumps() - improved.jumps()
-        )
-    return PolishResult(
-        scheme=improved,
-        effective_cost=improved.cost() - parts.betti,
-        jumps=improved.jumps(),
-        improvement=scheme.jumps() - improved.jumps(),
-    )
+        obs_metrics.inc("solver.polish.jumps_removed", improvement)
+    return PolishResult(tours=polished, improvement=improvement)

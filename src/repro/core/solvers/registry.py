@@ -268,100 +268,78 @@ def solve(
     return result
 
 
-def _solve_exact(
+def _approximate(
     parts: Decomposition,
+    method: str,
     budget: Budget | None,
-    degradations: tuple[str, ...],
-    **options,
+    degradations: tuple[str, ...] = (),
+    forced_status: str | None = None,
 ) -> SolveResult:
-    """The ``exact`` method, anytime under a budget.
+    """The approximation methods: one tour per component from dfs or
+    greedy, each polished when ``method`` ends in ``+polish``, then the one
+    scheme built from them (which validates it) and wrapped.
 
-    Without a budget this is the legacy path: the hard ``node_budget``
-    raises :class:`InstanceTooLargeError`.  With a budget, exhaustion
-    (cooperative *or* legacy) degrades to the DFS 1.25-approximation and
-    the result records the degradation instead of raising.
+    A degraded solve (``forced_status`` set) runs dfs unbudgeted, so the
+    guarantee rung always completes (linear time); polish polls the
+    already tripped budget and no-ops.
+    """
+    construct = solve_greedy if method.startswith("greedy") else solve_dfs_approx
+    tours = construct(parts, budget=None if forced_status else budget)
+    if method.endswith("+polish"):
+        tours = polish_scheme(tours, budget=budget).tours
+    scheme = PebblingScheme.from_edge_order(
+        parts.graph, [edge for tour in tours for edge in tour]
+    )
+    return _wrap(parts, scheme, method, optimal=False, budget=budget,
+                 degradations=degradations, forced_status=forced_status)
+
+
+def _solve_exact(
+    parts: Decomposition, budget: Budget | None, fallback: bool, **options
+) -> SolveResult:
+    """Exact search; when it runs out (cooperative budget or the hard
+    ``node_budget``) and ``fallback`` is set, the ``exact -> dfs+polish``
+    rung serves the 1.25-approximation and records the degradation.
+    Without ``fallback`` the exhaustion is raised.
     """
     hard_limit = options.get("node_budget", exact_mod.DEFAULT_NODE_BUDGET)
-    if budget is None:
-        result = exact_mod.solve_exact(parts, node_budget=hard_limit)
-        return _wrap(parts, result.scheme, "exact", optimal=True,
-                     degradations=degradations)
     try:
         result = exact_mod.solve_exact(
             parts, node_budget=hard_limit, budget=budget
         )
-        return _wrap(parts, result.scheme, "exact", optimal=True,
-                     budget=budget, degradations=degradations)
     except (BudgetExhaustedError, InstanceTooLargeError) as exc:
+        if not fallback:
+            raise
         _count_exhaustion(exc)
         _count_degradation("exact", "dfs+polish", exc)
-        forced = _status_of(exc)
-        degradations = degradations + ("exact->dfs+polish",)
-        # The guarantee rung: unbudgeted so it always completes (linear
-        # time); polishing polls the (already tripped) budget and no-ops.
-        scheme = solve_dfs_approx(parts).scheme
-        scheme = polish_scheme(parts, scheme, budget=budget).scheme
-        return _wrap(parts, scheme, "dfs+polish", optimal=False,
-                     budget=budget, degradations=degradations,
-                     forced_status=forced)
+        return _approximate(
+            parts, "dfs+polish", budget, ("exact->dfs+polish",),
+            forced_status=_status_of(exc),
+        )
+    return _wrap(parts, result.scheme, "exact", optimal=True, budget=budget)
 
 
 def _solve(
-    parts: Decomposition,
-    method: str,
-    budget: Budget | None = None,
-    degradations: tuple[str, ...] = (),
-    **options,
+    parts: Decomposition, method: str, budget: Budget | None, **options
 ) -> SolveResult:
     if method == "auto":
         bipartite = isinstance(parts.graph, BipartiteGraph)
         if bipartite and is_union_of_bicliques(parts):
-            return _solve(parts, "equijoin", budget, degradations)
+            return _solve(parts, "equijoin", budget)
         limit = options.get("exact_edge_limit", AUTO_EXACT_EDGE_LIMIT)
         if _max_component_edges(parts) <= limit:
-            # _solve_exact already absorbs exhaustion when a budget is in
-            # play; without one, legacy InstanceTooLargeError must still
-            # not leak out of auto — fall to the approximation rung.
-            try:
-                return _solve_exact(parts, budget, degradations, **options)
-            except InstanceTooLargeError as exc:
-                _count_exhaustion(exc)
-                _count_degradation("exact", "dfs+polish", exc)
-                degradations = degradations + ("exact->dfs+polish",)
-                forced = _status_of(exc)
-                result = _solve(
-                    parts, "dfs+polish", budget, degradations, **options
-                )
-                return _wrap(
-                    parts, result.scheme, "dfs+polish", optimal=False,
-                    budget=budget, degradations=degradations,
-                    forced_status=forced,
-                )
-        return _solve(parts, "dfs+polish", budget, degradations, **options)
+            return _solve_exact(parts, budget, True, **options)
+        return _approximate(parts, "dfs+polish", budget)
 
     if method == "equijoin":
         scheme = solve_equijoin(parts)
-        return _wrap(parts, scheme, method, optimal=True,
-                     degradations=degradations)
+        return _wrap(parts, scheme, method, optimal=True)
 
     if method == "exact":
-        return _solve_exact(parts, budget, degradations, **options)
+        # Without a budget the hard node_budget raises, as it always has.
+        return _solve_exact(parts, budget, budget is not None, **options)
 
-    if method in ("dfs", "dfs+polish"):
-        result = solve_dfs_approx(parts, budget=budget)
-        scheme = result.scheme
-        if method == "dfs+polish":
-            scheme = polish_scheme(parts, scheme, budget=budget).scheme
-        return _wrap(parts, scheme, method, optimal=False, budget=budget,
-                     degradations=degradations)
-
-    # greedy / greedy+polish
-    result = solve_greedy(parts, budget=budget)
-    scheme = result.scheme
-    if method == "greedy+polish":
-        scheme = polish_scheme(parts, scheme, budget=budget).scheme
-    return _wrap(parts, scheme, method, optimal=False, budget=budget,
-                 degradations=degradations)
+    return _approximate(parts, method, budget)
 
 
 def optimal_effective_cost(

@@ -15,8 +15,8 @@ from repro.graphs.hamiltonian import has_hamiltonian_path
 from repro.graphs.line_graph import is_claw_free, line_graph
 from repro.graphs.simple import Graph
 from repro.core.costs import effective_cost_bounds, naive_cost_bounds
-from repro.core.solvers.dfs_approx import solve_dfs_approx
 from repro.core.solvers.exact import solve_exact
+from repro.core.solvers.registry import solve
 from repro.core.tsp import tour_cost, scheme_to_tour
 
 AnyGraph = Graph | BipartiteGraph
@@ -92,15 +92,16 @@ def check_dfs_guarantee(graph: AnyGraph) -> dict:
     ``Σ_c (m_c + ⌊m_c/4⌋) ≤ 1.25 m``."""
     if graph.num_edges == 0:
         return {"m": 0}
-    result = solve_dfs_approx(graph)
+    result = solve(graph, "dfs")
     result.scheme.validate(graph)
-    assert result.effective_cost <= result.guarantee, (
-        f"DFS cost {result.effective_cost} exceeds guarantee {result.guarantee}"
+    _, guarantee = effective_cost_bounds(graph)
+    assert result.effective_cost <= guarantee, (
+        f"DFS cost {result.effective_cost} exceeds guarantee {guarantee}"
     )
     return {
         "m": graph.num_edges,
         "pi_dfs": result.effective_cost,
-        "guarantee": result.guarantee,
+        "guarantee": guarantee,
     }
 
 

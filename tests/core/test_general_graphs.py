@@ -14,12 +14,11 @@ from repro.graphs.hamiltonian import has_hamiltonian_path
 from repro.graphs.line_graph import is_claw_free, line_graph
 from repro.graphs.simple import Graph
 from repro.core.lower_bounds import effective_cost_lower_bound
-from repro.core.solvers.dfs_approx import solve_dfs_approx
 from repro.core.solvers.exact import (
     optimal_effective_cost_bruteforce,
     solve_exact,
 )
-from repro.core.solvers.greedy import solve_greedy
+from repro.core.solvers.registry import solve
 
 
 def _triangle() -> Graph:
@@ -101,13 +100,13 @@ class TestApproximationsOnGeneralGraphs:
     @pytest.mark.parametrize("maker", [lambda: _odd_cycle(9), lambda: _clique(5), lambda: _wheel(6)])
     def test_dfs_guarantee_holds(self, maker):
         g = maker()
-        result = solve_dfs_approx(g)
+        result = solve(g, "dfs")
         result.scheme.validate(g)
         assert result.effective_cost <= g.num_edges + g.num_edges // 4
 
     @pytest.mark.parametrize("maker", [lambda: _odd_cycle(9), lambda: _clique(5)])
     def test_greedy_valid(self, maker):
         g = maker()
-        result = solve_greedy(g)
+        result = solve(g, "greedy")
         result.scheme.validate(g)
         assert result.effective_cost >= g.num_edges

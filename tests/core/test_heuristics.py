@@ -14,6 +14,7 @@ from repro.core.families import worst_case_family
 from repro.core.solvers.exact import solve_exact
 from repro.core.solvers.greedy import solve_greedy
 from repro.core.solvers.local_search import improve_tour, polish_scheme
+from repro.core.solvers.registry import solve
 from repro.core.tsp import tour_cost
 
 
@@ -23,21 +24,21 @@ class TestGreedy:
         g = random_bipartite_gnm(5, 5, 11, seed=seed).without_isolated_vertices()
         if g.num_edges == 0:
             return
-        result = solve_greedy(g)
+        result = solve(g, "greedy")
         result.scheme.validate(g)
         lower, upper = naive_cost_bounds(g)
         assert lower <= result.effective_cost <= upper
 
     def test_greedy_perfect_on_biclique(self):
         g = complete_bipartite(3, 3)
-        assert solve_greedy(g).effective_cost == 9
+        assert solve(g, "greedy").effective_cost == 9
 
     def test_greedy_perfect_on_path(self):
-        assert solve_greedy(path_graph(7)).effective_cost == 7
+        assert solve(path_graph(7), "greedy").effective_cost == 7
 
     def test_greedy_on_matching(self):
         g = matching_graph(4)
-        assert solve_greedy(g).effective_cost == 4
+        assert solve(g, "greedy").effective_cost == 4
 
 
 class TestLocalSearch:
@@ -55,16 +56,16 @@ class TestLocalSearch:
     def test_polish_never_worse(self):
         for seed in range(6):
             g = random_connected_bipartite(5, 5, extra_edges=3, seed=seed)
-            base = solve_greedy(g)
-            polished = polish_scheme(g, base.scheme)
+            base = solve(g, "greedy")
+            polished = solve(g, "greedy+polish")
             polished.scheme.validate(g)
             assert polished.effective_cost <= base.effective_cost
-            assert polished.improvement >= 0
+            improvement = polish_scheme(solve_greedy(g)).improvement
+            assert improvement == base.jumps - polished.jumps >= 0
 
     def test_polish_reaches_optimum_on_easy_graph(self):
         g = complete_bipartite(2, 4)
-        base = solve_greedy(g)
-        polished = polish_scheme(g, base.scheme)
+        polished = solve(g, "greedy+polish")
         assert polished.effective_cost == solve_exact(g).effective_cost
 
     def test_two_opt_fixes_bad_order(self):

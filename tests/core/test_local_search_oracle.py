@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.families import worst_case_family
 from repro.core.reductions import Tsp12Instance, improve_tsp12_tour
-from repro.core.scheme import PebblingScheme
 from repro.core.solvers import dfs_approx, greedy, local_search
 from repro.core.solvers.registry import solve
 from repro.core.tsp import edges_share_endpoint, tour_jumps
@@ -240,12 +239,11 @@ def test_tripped_budget_leaves_polish_input_unchanged():
     graph = worst_case_family(8)
     edges = graph.edges()
     random.Random(3).shuffle(edges)
-    scheme = PebblingScheme.from_edge_order(graph, edges)
     tripped = Budget(node_budget=1)
     tripped.poll(2)
     assert tripped.exhausted
-    result = local_search.polish_scheme(graph, scheme, budget=tripped)
-    assert result.scheme.configurations == scheme.configurations
+    result = local_search.polish_scheme([edges], budget=tripped)
+    assert result.tours == [edges]
     assert result.improvement == 0
     # Without the budget the same input does get polished.
-    assert local_search.polish_scheme(graph, scheme).improvement > 0
+    assert local_search.polish_scheme([edges]).improvement > 0

@@ -16,9 +16,8 @@ from repro.graphs.line_graph import is_claw_free, line_graph
 from repro.core.costs import effective_cost_bounds
 from repro.core.lower_bounds import effective_cost_lower_bound
 from repro.core.scheme import PebblingScheme
-from repro.core.solvers.dfs_approx import solve_dfs_approx
 from repro.core.solvers.exact import solve_exact
-from repro.core.solvers.greedy import solve_greedy
+from repro.core.solvers.registry import solve
 from repro.core.tsp import scheme_to_tour, tour_cost
 
 
@@ -65,9 +64,9 @@ def test_theorem_3_1_upper_bound(graph):
 @given(bipartite_graphs())
 def test_dfs_approx_guarantee(graph):
     """The Theorem 3.1 algorithm never exceeds its certificate."""
-    result = solve_dfs_approx(graph)
+    result = solve(graph, "dfs")
     result.scheme.validate(graph)
-    assert result.effective_cost <= result.guarantee
+    assert result.effective_cost <= effective_cost_bounds(graph)[1]
 
 
 @COMMON
@@ -109,7 +108,7 @@ def test_proposition_2_2(graph):
 @given(bipartite_graphs())
 def test_greedy_schemes_always_valid(graph):
     """Every heuristic output is a valid scheme within the naive bounds."""
-    result = solve_greedy(graph)
+    result = solve(graph, "greedy")
     result.scheme.validate(graph)
     m = graph.num_edges
     assert m <= result.effective_cost <= 2 * m - 1

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.families import worst_case_family
+from repro.core.scheme import PebblingScheme
 from repro.core.solvers import registry
 from repro.core.solvers.registry import METHODS, solve
 from repro.graphs import bipartite, components, simple
@@ -237,6 +238,48 @@ def test_inline_dispatcher_splits_the_request_graph_once():
 def test_registry_solve_uses_the_traced_split():
     """The split runs through the module global perfbench's tracer wraps."""
     assert registry.component_vertex_sets is components.component_vertex_sets
+
+
+# -- one scheme per solve -------------------------------------------------------
+
+
+def _built(run) -> tuple[int, int]:
+    """``(schemes built from an edge order, bipartite edges re-oriented)``
+    by ``run()``."""
+    builds = mock.patch.object(
+        PebblingScheme,
+        "from_edge_order",
+        side_effect=PebblingScheme.from_edge_order,
+    )
+    orients = mock.patch.object(
+        bipartite.BipartiteGraph,
+        "orient_edge",
+        autospec=True,
+        side_effect=bipartite.BipartiteGraph.orient_edge,
+    )
+    with builds as build_calls, orients as orient_calls:
+        run()
+    return build_calls.call_count, orient_calls.call_count
+
+
+@pytest.mark.parametrize("shape", sorted(COUNTED_GRAPHS))
+@pytest.mark.parametrize("budget", sorted(DEADLINES))
+@pytest.mark.parametrize("method", METHODS)
+def test_each_solve_builds_and_validates_one_scheme(method, budget, shape):
+    """The component tours flow from construction through polish as
+    tours; only the registry turns them into a scheme, once, and nothing
+    splits a scheme back into tours."""
+    graph = COUNTED_GRAPHS[shape]()
+    options = DEADLINES[budget]()
+    outcomes = []
+    builds, orients = _built(
+        lambda: outcomes.append(_outcome(lambda: solve(graph, method, **options)))
+    )
+    solved = isinstance(outcomes[0], tuple)
+    assert builds == (1 if solved else 0)
+    if method not in ("exact", "equijoin"):
+        assert solved
+        assert orients == 0
 
 
 # -- one fingerprint per component ---------------------------------------------
