@@ -1,10 +1,11 @@
 """E-T3.1: the 1.25-approximation (Theorem 3.1 / Lemma 3.1).
 
 Regenerates: the DFS-vs-exact quality table, the runtime series of
-``solve(g, "dfs")`` for m = 1.2k to 20k, gated on its log-log slope
-(Lemma 3.1's construction is linear; ours is O(m log m)) and reporting
-its instruction-count slope beside it, and a report-only table of dfs,
-dfs+polish and greedy on the same leafy family.
+``solve(g, "dfs")`` for m = 1.2k to 20k, gated on the log-log slope of
+its bytecode instruction count (Lemma 3.1's construction is linear; ours
+is O(m log m)) and reporting its CPU-time slope beside it, and a
+report-only table of dfs, dfs+polish and greedy on the same leafy
+family.
 """
 
 from scaling import best_cpu_seconds, loglog_slope, opcode_count
@@ -15,9 +16,11 @@ from repro.core.costs import effective_cost_bounds
 from repro.graphs.generators import random_connected_bipartite
 from repro.core.solvers.registry import solve
 
-# The peel is O(m log m); a slope above this bound means some step of
-# solve(g, "dfs") grows faster than that (the quadratic peel measured 2.2).
-MAX_SLOPE = 1.15
+# The peel is O(m log m); an instruction-count slope above this bound
+# means some step of solve(g, "dfs") grows faster than that.  The count
+# reads 1.0002 here; the quadratic peel kept as a test oracle
+# (tests/core/quadratic_reference.py) reads 2.5 on m = 76 to 624.
+MAX_COUNT_SLOPE = 1.10
 
 
 def test_dfs_quality_table(emit):
@@ -30,9 +33,11 @@ def test_dfs_runtime_series(emit):
     to 20k, best of 3 CPU-time runs per size; the one scheme build and
     its validation are inside the timed call.  The runs go round-robin
     over the sizes, so a spell of contention on a shared host slows every
-    size alike instead of tilting the slope.  The instructions-per-edge
-    column and its slope are reported, not gated: they do not depend on
-    the host."""
+    size alike instead of tilting the slope.  The gate is on the slope of
+    the instruction counts, which do not depend on the host; the CPU
+    slope is reported beside it (on a shared 2-core host it reads
+    0.96–1.33 with no code change).  C-level work (sorts, set operations)
+    counts as one instruction, so the CPU column stays in the table."""
     sizes = (500, 1000, 2000, 4000, 8000)
     graphs = {
         n: random_connected_bipartite(n, n, extra_edges=n // 2, seed=1)
@@ -55,8 +60,9 @@ def test_dfs_runtime_series(emit):
         ],
         title=(
             "E-T3.1: DFS algorithm runtime scaling (Lemma 3.1), "
-            f"log-log slope {slope:.2f} (bound {MAX_SLOPE}), "
-            f"instruction-count slope {count_slope:.4f} (report only)"
+            f"log-log slope {slope:.2f} (report only), "
+            f"instruction-count slope {count_slope:.4f} "
+            f"(bound {MAX_COUNT_SLOPE:.2f})"
         ),
     )
     for n, m in zip(sizes, ms):
@@ -72,7 +78,9 @@ def test_dfs_runtime_series(emit):
             ]
         )
     emit("E-T3.1_dfs_runtime", table)
-    assert slope <= MAX_SLOPE, f"E-T3.1 slope {slope:.2f} > {MAX_SLOPE}"
+    assert count_slope <= MAX_COUNT_SLOPE, (
+        f"E-T3.1 instruction-count slope {count_slope:.4f} > {MAX_COUNT_SLOPE}"
+    )
 
 
 def test_polish_runtime_table(emit):

@@ -93,7 +93,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.graphs.io import load_bipartite
+from repro.graphs.io import load_any_graph, load_bipartite
 
 
 def _cmd_pebble(args: argparse.Namespace) -> int:
@@ -101,7 +101,7 @@ def _cmd_pebble(args: argparse.Namespace) -> int:
     from repro.runtime import Budget
 
     with open(args.graph_file) as handle:
-        graph = load_bipartite(handle.read())
+        graph = load_any_graph(handle.read())
     budget = None
     if args.deadline is not None or args.node_budget is not None:
         budget = Budget(deadline=args.deadline, node_budget=args.node_budget)
@@ -125,21 +125,21 @@ def _cmd_pebble(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     import contextlib
 
-    from repro.parallel import SolveCache, solve_many, use_cache
+    from repro.parallel import SolveCache, solve_many
 
     graphs = []
     for path in args.graph_files:
         with open(path) as handle:
-            graphs.append(load_bipartite(handle.read()))
+            graphs.append(load_any_graph(handle.read()))
     with contextlib.ExitStack() as stack:
+        cache = None
         if args.cache is not None:
-            cache = SolveCache(path=args.cache)
-            stack.callback(cache.close)
-            stack.enter_context(use_cache(cache))
+            cache = stack.enter_context(SolveCache(path=args.cache))
         results = solve_many(
             graphs,
             method=args.method,
             jobs=args.jobs,
+            cache=cache,
             deadline=args.deadline,
         )
         for path, result in zip(args.graph_files, results):
@@ -477,7 +477,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     from repro.core.decision import decide_pebble
 
     with open(args.graph_file) as handle:
-        graph = load_bipartite(handle.read())
+        graph = load_any_graph(handle.read())
     decision = decide_pebble(graph, args.k)
     verdict = "YES" if decision.answer else "NO"
     print(f"pi(G) <= {args.k}?  {verdict}  ({decision.reason})")
@@ -1978,12 +1978,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="replay admitted-but-unanswered requests from this journal "
         "directory on startup (implies --journal DIR)",
-    )
-    serve.add_argument(
-        "--metrics",
-        action="store_true",
-        help="serve live telemetry via the 'metrics' op (always on; "
-        "accepted for explicitness and forward compatibility)",
     )
     serve.add_argument(
         "--metrics-window",

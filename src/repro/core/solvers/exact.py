@@ -123,7 +123,7 @@ class _PathPartitionSearch:
         self.nodes_expanded += 1
         if self.budget is not None:
             # Cooperative checkpoint: raises BudgetExhaustedError on a
-            # tripped deadline/node/memo cap (the registry ladder catches
+            # tripped deadline or node budget (the registry ladder catches
             # it and serves the 1.25-approximation instead).
             self.budget.checkpoint()
         if self.nodes_expanded > self.node_budget:

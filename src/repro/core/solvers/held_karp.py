@@ -24,7 +24,6 @@ from repro.graphs.simple import Graph
 from repro.obs import metrics as obs_metrics
 from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
-from repro.runtime.budget import Budget
 
 AnyGraph = Graph | BipartiteGraph
 
@@ -32,7 +31,7 @@ _DP_LIMIT = 18
 _INFINITY = float("inf")
 
 
-def held_karp_min_jumps(line: Graph, budget: Budget | None = None) -> int:
+def held_karp_min_jumps(line: Graph) -> int:
     """The minimum number of weight-2 steps over all visiting orders of the
     nodes of ``line`` (weights: 1 on edges, 2 off edges)."""
     order = sorted(line.vertices, key=repr)
@@ -49,10 +48,6 @@ def held_karp_min_jumps(line: Graph, budget: Budget | None = None) -> int:
             adjacency[index[v]] |= 1 << index[u]
 
     size = 1 << n
-    if budget is not None:
-        # The DP table is allocated whole, so account for it up front —
-        # a memo cap rejects the instance before the 2^n * n allocation.
-        budget.charge_memo(size * n)
     if obs_recorder.ON:
         obs_metrics.inc("solver.held_karp.memo_cells", size * n)
     # jumps[mask * n + last] = min jumps of a path over `mask` ending at `last`.
@@ -61,8 +56,6 @@ def held_karp_min_jumps(line: Graph, budget: Budget | None = None) -> int:
         for i in range(n):
             jumps[(1 << i) * n + i] = 0
         for mask in range(1, size):
-            if budget is not None:
-                budget.checkpoint()
             base = mask * n
             for last in range(n):
                 # Compare by value, not identity: `current is _INFINITY`
@@ -88,7 +81,7 @@ def held_karp_min_jumps(line: Graph, budget: Budget | None = None) -> int:
     return int(best)
 
 
-def held_karp_effective_cost(graph: AnyGraph, budget: Budget | None = None) -> int:
+def held_karp_effective_cost(graph: AnyGraph) -> int:
     """``π(G)`` via the Held–Karp DP: ``m + 1 + J_min − β₀``.
 
     Independent of the path-partition engine; used as a second opinion in
@@ -99,7 +92,7 @@ def held_karp_effective_cost(graph: AnyGraph, budget: Budget | None = None) -> i
         return 0
     line = line_graph(graph)
     with obs_trace.span("solver.held_karp"):
-        j_min = held_karp_min_jumps(line, budget=budget)
+        j_min = held_karp_min_jumps(line)
     if obs_recorder.ON:
         obs_metrics.inc("solver.held_karp.solves")
         # 2^n * n DP cells relaxed — the TSP-relaxation work counter.

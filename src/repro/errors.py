@@ -43,8 +43,8 @@ class InstanceTooLargeError(SolverError):
 class BudgetExhaustedError(SolverError):
     """Raised when a cooperative :class:`repro.runtime.Budget` trips.
 
-    ``reason`` records which resource ran out: ``"deadline"`` (wall clock),
-    ``"nodes"`` (search-node budget), or ``"memo"`` (memo-table cap).
+    ``reason`` records which resource ran out: ``"deadline"`` (wall clock)
+    or ``"nodes"`` (search-node budget).
     """
 
     def __init__(self, message: str, reason: str = "nodes") -> None:

@@ -13,7 +13,8 @@ The format is line-oriented and human-editable:
 
 ``L``/``R`` lines declare vertices (so isolated vertices survive a round
 trip); ``E`` lines declare edges.  Plain graphs use ``V`` instead of
-``L``/``R``.  Vertex names may not contain whitespace.
+``L``/``R`` and a ``# graph`` header; :func:`load_any_graph` reads either.
+Vertex names may not contain whitespace.
 """
 
 from __future__ import annotations
@@ -103,3 +104,25 @@ def load_graph(text: str) -> Graph:
         else:
             raise GraphError(f"line {lineno}: unknown tag {tag!r}")
     return graph
+
+
+def load_any_graph(text: str) -> Graph | BipartiteGraph:
+    """Parse either variant, sniffing which from the text.
+
+    The first non-blank line decides: a ``#`` header naming ``graph`` but
+    not ``bipartite``, or a ``V`` line, means a plain graph
+    (:func:`load_graph`); anything else is parsed as bipartite
+    (:func:`load_bipartite`).
+    """
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            plain = "graph" in line and "bipartite" not in line
+        else:
+            plain = line.split(None, 1)[0] == "V"
+        if plain:
+            return load_graph(text)
+        break
+    return load_bipartite(text)

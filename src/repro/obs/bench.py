@@ -21,7 +21,7 @@ import json
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro import obs
 from repro.analysis.report import Table
@@ -33,6 +33,9 @@ from repro.obs import planquality as obs_plans
 from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
 from repro.runtime.budget import Budget, use_budget
+
+if TYPE_CHECKING:
+    from repro.parallel.cache import SolveCache
 
 # v2 (see docs/ROBUSTNESS.md): per-scenario status/attempts/error fields
 # and structured failure records instead of aborting the whole run.
@@ -53,6 +56,9 @@ class BenchConfig:
     # Worker processes for batch scenarios (repro bench --jobs).  Results
     # must not depend on it — only timings may; solver-batch asserts so.
     jobs: int = 1
+    # The solve cache batch scenarios hand to solve_many (repro bench
+    # --cache); like jobs, it may change timings, never results.
+    cache: SolveCache | None = None
 
     def size(self, full: int, smoke: int) -> int:
         """Pick the full-size or smoke-size parameter."""
@@ -238,7 +244,9 @@ def _solver_batch(config: BenchConfig) -> dict[str, Any]:
             edges // 4, edges // 4, edges, seed=config.seed + 19
         )
     )
-    results = solve_many(graphs, method="auto", jobs=config.jobs)
+    results = solve_many(
+        graphs, method="auto", jobs=config.jobs, cache=config.cache
+    )
     # `jobs` is deliberately absent from the results: scenario results
     # must be byte-identical across --jobs values (it is reported once,
     # at the top of the bench report).
@@ -640,10 +648,11 @@ def run_bench(
 
     ``jobs`` flows to batch scenarios (``solver-batch``) through
     :class:`BenchConfig`; scenario *results* are jobs-invariant, only
-    timings may change.  ``cache_path`` installs an ambient
+    timings may change.  ``cache_path`` opens one
     :class:`~repro.parallel.cache.SolveCache` persisted at that path for
-    the whole run, so a warm second run surfaces ``cache.hit`` events in
-    ``events.jsonl``.
+    the whole run and hands it to batch scenarios (``solver-batch``)
+    through :class:`BenchConfig`, so a warm second run surfaces
+    ``cache.hit`` events in ``events.jsonl``.
 
     Each scenario gets ``scenario_deadline`` seconds of ambient budget and
     one retry; failures become structured entries in the report rather
@@ -657,7 +666,6 @@ def run_bench(
             )
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    config = BenchConfig(smoke=smoke, seed=seed, jobs=jobs)
     if repeats is None:
         repeats = 1 if smoke else 3
     if repeats < 1:
@@ -673,12 +681,14 @@ def run_bench(
         )
         try:
             with contextlib.ExitStack() as stack:
+                solve_cache = None
                 if cache_path is not None:
-                    from repro.parallel.cache import SolveCache, use_cache
+                    from repro.parallel.cache import SolveCache
 
-                    solve_cache = SolveCache(path=cache_path)
-                    stack.callback(solve_cache.close)
-                    stack.enter_context(use_cache(solve_cache))
+                    solve_cache = stack.enter_context(SolveCache(path=cache_path))
+                config = BenchConfig(
+                    smoke=smoke, seed=seed, jobs=jobs, cache=solve_cache
+                )
                 for name in chosen:
                     report.scenarios.append(
                         _run_one(name, config, repeats, deadline=scenario_deadline)

@@ -4,7 +4,7 @@ The public surface:
 
 - :func:`solve_many` — solve a batch of graphs, fanning per-component
   work across a process pool with deterministic reassembly;
-- :class:`SolveCache` / :func:`use_cache` / :func:`default_cache_path` —
+- :class:`SolveCache` / :func:`default_cache_path` —
   the two-tier (LRU + SQLite) solve cache keyed by canonical component
   fingerprints;
 - :func:`fingerprint` / :func:`canonical_form` — the structural identity
@@ -18,9 +18,7 @@ from repro.parallel.cache import (
     CACHE_SCHEMA,
     CacheStats,
     SolveCache,
-    current_cache,
     default_cache_path,
-    use_cache,
 )
 from repro.parallel.fingerprint import CanonicalForm, canonical_form, fingerprint
 from repro.parallel.pool import WorkerPool
@@ -39,11 +37,9 @@ __all__ = [
     "WorkerPool",
     "assemble_components",
     "canonical_form",
-    "current_cache",
     "default_cache_path",
     "fingerprint",
     "rebind_result",
     "solve_many",
     "split_deadline",
-    "use_cache",
 ]

@@ -22,15 +22,15 @@ degradation-ladder steps.  A budget-truncated answer reflects that run's
 budget, not the instance, so it is never served to a future caller.
 
 Lookups and stores are observable (``cache.hit`` / ``cache.miss`` events,
-``parallel.cache.*`` counters) and installation is ambient and scoped:
-:func:`use_cache` mirrors :func:`repro.runtime.budget.use_budget`, so the
-CLI threads one cache through bench scenarios without changing solver
-signatures.  No cache installed means byte-for-byte legacy behaviour.
+``parallel.cache.*`` counters).  A cache is an argument of the batch
+pipeline only (``solve_many(..., cache=)``, the solve server): the
+planner consults it once per unique component and stores what it
+solved.  A plain :func:`repro.core.solvers.registry.solve` never touches
+a cache.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import sqlite3
 import threading
@@ -38,7 +38,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 from repro.core.scheme import PebblingScheme
 from repro.core.solvers.registry import SolveResult
@@ -131,9 +131,10 @@ class CacheToken:
 def options_digest(options: dict[str, Any]) -> str:
     """A deterministic digest of the solver options that shape answers.
 
-    Budget options never reach here (the registry strips them first);
-    whatever remains (``node_budget``, ``exact_edge_limit``, …) is folded
-    into the key so distinct configurations never collide.
+    These are the settings a batch forwards to every component solve
+    (:data:`repro.core.solvers.registry.ANSWER_SETTINGS`: ``node_budget``,
+    ``exact_edge_limit``); the batch deadline is not among them.  They
+    are folded into the key so distinct configurations never collide.
     """
     if not options:
         return "-"
@@ -375,7 +376,7 @@ class CacheStats:
 
 
 class SolveCache:
-    """The two-tier solve cache the registry and the pool consult.
+    """The two-tier solve cache the batch pipeline consults.
 
     ``consult(token)`` returns ``(hit_or_None, token)``; a later
     ``store(token, result)`` records a clean result under the same key.
@@ -405,7 +406,7 @@ class SolveCache:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- the consult/store pair the registry calls ---------------------
+    # -- the consult/store pair the batch planner calls ---------------
     def consult(
         self, token: CacheToken
     ) -> tuple[SolveResult | None, CacheToken]:
@@ -462,41 +463,6 @@ class SolveCache:
         return True
 
 
-# -- ambient cache stack ----------------------------------------------------
-#
-# Mirrors repro.runtime.budget's ambient stack with one twist:
-# ``use_cache(None)`` *masks* any outer cache (pushes an explicit None),
-# which is how a batch's inline solves (repro.parallel.pool.solve_inline)
-# keep from re-consulting the cache its planner already consulted.
-
-_CACHE_STACK: list[SolveCache | None] = []
-
-
-def current_cache() -> SolveCache | None:
-    """The innermost ambient cache installed by :func:`use_cache`."""
-    return _CACHE_STACK[-1] if _CACHE_STACK else None
-
-
-@contextlib.contextmanager
-def use_cache(cache: SolveCache | None) -> Iterator[SolveCache | None]:
-    """Install ``cache`` as the ambient solve cache for the ``with`` body.
-
-    ``None`` is an explicit mask: inside the body, :func:`current_cache`
-    returns ``None`` even when an outer cache is installed.
-    """
-    _CACHE_STACK.append(cache)
-    try:
-        yield cache
-    finally:
-        _CACHE_STACK.pop()
-
-
-def _reset_ambient_cache() -> None:
-    """Drop any inherited ambient cache (worker-process prologue: a forked
-    child must not reuse the parent's SQLite connection)."""
-    _CACHE_STACK.clear()
-
-
 def default_cache_path(root: str | Path = ".") -> Path:
     """The conventional on-disk location for a persistent solve cache."""
     return Path(root) / ".solve-cache.db"
@@ -513,10 +479,8 @@ __all__ = [
     "SolveCache",
     "cache_key",
     "cache_token",
-    "current_cache",
     "default_cache_path",
     "entry_from_result",
     "options_digest",
     "result_from_entry",
-    "use_cache",
 ]

@@ -12,16 +12,12 @@ own collectors (:func:`merge_observations`), so enabled-vs-disabled
 neutrality and the "same answer, same account at any job count" property
 survive the pool.
 
-Worker hygiene on entry (:func:`solve_task`):
-
-- the ambient solve-cache stack is cleared — a forked child must never
-  reuse the parent's SQLite connection (the parent consulted the cache
-  before dispatching, so workers only see genuine misses anyway);
-- the ambient budget stack is cleared for the same reason: each task
-  carries its own *deadline share* (see ``docs/PARALLEL.md``) as plain
-  numbers and rebuilds a fresh :class:`~repro.runtime.budget.Budget`
-  in-process, because budgets hold clocks and must not cross the pickle
-  boundary.
+Worker hygiene on entry (:func:`solve_task`): the ambient budget stack
+is cleared, because each task carries its own *deadline share* (see
+``docs/PARALLEL.md``) as a plain number and rebuilds a fresh
+:class:`~repro.runtime.budget.Budget` in-process; budgets hold clocks and
+must not cross the pickle boundary.  Workers never see the solve cache:
+the parent consulted it before dispatching and stores what they return.
 
 Tasks and results are plain picklable payloads; the worker function is a
 module-level callable so every start method (fork, spawn) can import it.
@@ -49,7 +45,6 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
 from repro.obs.context import TraceContext
-from repro.parallel.cache import _reset_ambient_cache, use_cache
 from repro.runtime import faults as faults_mod
 from repro.runtime.anytime import SolveProvenance
 from repro.runtime.budget import _BUDGET_STACK
@@ -82,7 +77,6 @@ class SolveTask:
     method: str
     options: dict[str, Any] = field(default_factory=dict)
     deadline: float | None = None
-    memo_cap: int | None = None
     recording: bool = False
     crash: bool = False
     # Request correlation: the originating request's TraceContext (its
@@ -104,21 +98,15 @@ def solve_inline(task: SolveTask) -> SolveResult:
     """Run one component solve in this process — the one solve every
     batch path makes, in a worker or in the parent.
 
-    The ambient cache is masked (the batch planner already consulted it,
-    and a second consult would double-count) and the task's trace context
-    is active, so every span it records joins the originating request.
-    Observations record straight into this process's collectors.
+    The task's trace context is active, so every span it records joins
+    the originating request.  Observations record straight into this
+    process's collectors.
     """
     token = obs_context.activate(task.trace) if task.trace is not None else None
     try:
-        with use_cache(None):
-            return registry.solve(
-                task.graph,
-                task.method,
-                deadline=task.deadline,
-                memo_cap=task.memo_cap,
-                **task.options,
-            )
+        return registry.solve(
+            task.graph, task.method, deadline=task.deadline, **task.options
+        )
     finally:
         if token is not None:
             obs_context.deactivate(token)
@@ -137,7 +125,6 @@ def solve_task(task: SolveTask) -> TaskOutcome:
         # shutdown, exactly like the kernel's OOM killer would.
         os._exit(1)
 
-    _reset_ambient_cache()
     _BUDGET_STACK.clear()
     obs.reset()
     if task.recording:

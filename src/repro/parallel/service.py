@@ -10,9 +10,9 @@ changing any answer.  One pipeline, two fan-outs:
    isolated vertices dropped, matching the paper's convention); each
    component is fingerprinted once into a
    :class:`~repro.parallel.cache.CacheToken`, structurally identical
-   components collapse into one task, and an installed
-   :class:`~repro.parallel.cache.SolveCache` is consulted once per
-   unique key with that same token;
+   components collapse into one task, and the batch's
+   :class:`~repro.parallel.cache.SolveCache`, if it has one, is consulted
+   once per unique key with that same token;
 2. **solve** — :meth:`Batch.tasks` builds one
    :class:`~repro.parallel.pool.SolveTask` per unique miss and the caller
    fans them out: :func:`solve_many` inline (``jobs=1``) or through a
@@ -46,7 +46,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Sequence
 
 from repro.core.scheme import PebblingScheme
-from repro.core.solvers.registry import METHODS, SolveResult
+from repro.core.solvers.registry import METHODS, SOLVE_SETTINGS, SolveResult
 from repro.errors import SolverError
 from repro.graphs.components import Decomposition, decompose
 from repro.obs import context as obs_context
@@ -55,12 +55,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
 from repro.parallel import pool as pool_mod
-from repro.parallel.cache import (
-    CacheToken,
-    SolveCache,
-    cache_token,
-    current_cache,
-)
+from repro.parallel.cache import CacheToken, SolveCache, cache_token
 from repro.parallel.fingerprint import CanonicalForm, decode_scheme, encode_scheme
 from repro.parallel.pool import SolveTask
 from repro.runtime.anytime import (
@@ -72,6 +67,10 @@ from repro.runtime.anytime import (
 )
 
 AnyGraph = pool_mod.AnyGraph
+
+# The settings a batch forwards to every component solve: all of solve()'s
+# but the deadline, which the batch splits into per-task shares itself.
+BATCH_SETTINGS = tuple(name for name in SOLVE_SETTINGS if name != "deadline")
 
 # Most-degraded-wins ordering for merging per-component statuses.
 _STATUS_SEVERITY = {
@@ -204,19 +203,17 @@ class Batch:
         """Components across every graph, duplicates included."""
         return sum(len(plan) for plan in self.plans)
 
-    def tasks(
-        self, deadline: float | None, memo_cap: int | None
-    ) -> list[SolveTask]:
-        """One task per pending key, in planning order, under the ambient
-        recording switch and trace context (so worker spans join the
-        originating request)."""
+    def tasks(self, deadline: float | None) -> list[SolveTask]:
+        """One task per pending key, in planning order, each with the
+        per-task ``deadline`` share, under the ambient recording switch
+        and trace context (so worker spans join the originating
+        request)."""
         return [
             SolveTask(
                 graph=part,
                 method=self.method,
                 options=self.options,
                 deadline=deadline,
-                memo_cap=memo_cap,
                 recording=obs_recorder.ON,
                 trace=obs_context.current(),
             )
@@ -253,7 +250,18 @@ def plan_batch(
 ) -> Batch:
     """Decompose every graph, fingerprint each component once, dedupe
     structurally identical components, and consult ``cache`` once per
-    unique key (stages 1–2)."""
+    unique key (stages 1–2).
+
+    ``options`` are checked against :data:`BATCH_SETTINGS` first, so a
+    misspelt setting raises :class:`TypeError` before any cache lookup,
+    as ``solve()`` itself does.
+    """
+    unknown = sorted(set(options).difference(BATCH_SETTINGS))
+    if unknown:
+        raise TypeError(
+            f"unknown solve setting(s) {', '.join(map(repr, unknown))}; "
+            f"choose from {', '.join(BATCH_SETTINGS)}"
+        )
     batch = Batch(method=method, options=options, cache=cache)
     for graph in graphs:
         plan: list[CacheToken] = []
@@ -278,38 +286,35 @@ def solve_many(
     jobs: int = 1,
     cache: SolveCache | None = None,
     deadline: float | None = None,
-    memo_cap: int | None = None,
     **options: Any,
 ) -> list[SolveResult]:
     """Solve PEBBLE on every graph in ``graphs``; results in input order.
 
     ``jobs`` is the worker-process count (1 = inline, no pool).
-    ``cache`` overrides the ambient solve cache installed by
-    :func:`repro.parallel.cache.use_cache`; structurally identical
-    components are solved once per call even with no cache at all.
-    ``deadline`` / ``memo_cap`` are cooperative batch budgets, split
-    across workers (see :func:`split_deadline`); remaining ``options``
-    are forwarded to :func:`repro.core.solvers.registry.solve`.
+    ``cache`` is consulted once per unique component and stores what the
+    call solves; structurally identical components are solved once per
+    call even with no cache at all.  ``deadline`` is a cooperative batch
+    budget, split across workers (see :func:`split_deadline`); ``options``
+    are the other :data:`BATCH_SETTINGS`, forwarded to every
+    :func:`repro.core.solvers.registry.solve` (an unknown one raises
+    :class:`TypeError`).
     """
     if method not in METHODS:
         raise SolverError(f"unknown method {method!r}; choose from {METHODS}")
     if jobs < 1:
         raise SolverError(f"jobs must be >= 1, got {jobs}")
     graphs = list(graphs)
-    the_cache = cache if cache is not None else current_cache()
 
     with obs_trace.span(
         "parallel.solve_many", graphs=len(graphs), jobs=jobs, method=method
     ):
-        batch = plan_batch(graphs, method, options, the_cache)
+        batch = plan_batch(graphs, method, options, cache)
         if obs_recorder.ON:
             obs_metrics.inc("parallel.solve_many.calls")
             obs_metrics.inc("parallel.solve_many.graphs", len(graphs))
             obs_metrics.inc("parallel.solve_many.components", batch.components)
             obs_metrics.inc("parallel.pool.tasks", len(batch.pending))
-        tasks = batch.tasks(
-            split_deadline(deadline, len(batch.pending), jobs), memo_cap
-        )
+        tasks = batch.tasks(split_deadline(deadline, len(batch.pending), jobs))
         return batch.finish(_fan_out(batch, tasks, jobs))
 
 

@@ -1,7 +1,7 @@
 """Resource budgets, anytime-result vocabulary, and fault injection.
 
 The runtime package is the robustness layer under the solving stack:
-:class:`Budget` bounds wall clock / search nodes / memo size with
+:class:`Budget` bounds wall clock and search nodes with
 cooperative checkpoints, :mod:`repro.runtime.anytime` names the result
 statuses, and :mod:`repro.runtime.faults` injects deterministic faults for
 chaos testing.  See ``docs/ROBUSTNESS.md``.
@@ -18,7 +18,6 @@ from repro.runtime.anytime import (
 )
 from repro.runtime.budget import (
     REASON_DEADLINE,
-    REASON_MEMO,
     REASON_NODES,
     Budget,
     current_budget,
@@ -44,7 +43,6 @@ __all__ = [
     "use_budget",
     "REASON_DEADLINE",
     "REASON_NODES",
-    "REASON_MEMO",
     "FakeClock",
     "MonotonicClock",
     "MONOTONIC_CLOCK",

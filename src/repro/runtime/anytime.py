@@ -16,7 +16,7 @@ from typing import Any
 STATUS_OPTIMAL = "optimal"
 # The solver finished; the answer is a (possibly approximate) full result.
 STATUS_COMPLETE = "complete"
-# A node or memo budget tripped; the answer is the best found so far.
+# A node budget tripped; the answer is the best found so far.
 STATUS_BUDGET_EXHAUSTED = "budget_exhausted"
 # The wall-clock deadline tripped; the answer is the best found so far.
 STATUS_TIMED_OUT = "timed_out"

@@ -1,16 +1,16 @@
 """Cooperative resource budgets for anytime solving.
 
-A :class:`Budget` bounds three resources at once — wall clock (via an
-injectable clock), search nodes, and memo-table cells — and is *checked,
-never enforced*: solvers call :meth:`Budget.checkpoint` (raising) or
-:meth:`Budget.poll` (non-raising) at natural loop boundaries, so a budget
-can only trip where the solver can hand back a valid partial answer.
+A :class:`Budget` bounds two resources at once — wall clock (via an
+injectable clock) and search nodes — and is *checked, never enforced*:
+solvers call :meth:`Budget.checkpoint` (raising) or :meth:`Budget.poll`
+(non-raising) at natural loop boundaries, so a budget can only trip
+where the solver can hand back a valid partial answer.
 
 The two styles map onto the two solver shapes in this repo:
 
-- branch-and-bound / DP searches (``exact``, ``held_karp``) have no useful
-  partial state mid-expansion, so they use the raising ``checkpoint()`` and
-  let the registry ladder catch :class:`BudgetExhaustedError`;
+- the branch-and-bound search (``exact``) has no useful partial state
+  mid-expansion, so it uses the raising ``checkpoint()`` and lets the
+  registry ladder catch :class:`BudgetExhaustedError`;
 - constructive heuristics (``dfs_approx``, ``greedy``, ``local_search``)
   always hold a valid scheme, so they ``poll()``
   and simply stop improving when the budget trips.
@@ -32,48 +32,38 @@ from repro.runtime.clock import MONOTONIC_CLOCK
 
 REASON_DEADLINE = "deadline"
 REASON_NODES = "nodes"
-REASON_MEMO = "memo"
+
+# under_pressure() is True once less than this share of the deadline remains.
+PRESSURE_FRACTION = 0.1
 
 
 class Budget:
-    """A cooperative budget over wall clock, search nodes, and memo cells.
+    """A cooperative budget over wall clock and search nodes.
 
-    Any subset of the three limits may be set; an all-``None`` budget never
-    trips and costs one integer increment per checkpoint.  ``clock`` defaults
-    to the process monotonic clock; tests inject
-    :class:`repro.runtime.clock.FakeClock`.  ``check_interval`` trades
-    deadline precision for clock reads: the clock is consulted every
-    ``check_interval`` charged nodes (default 1, i.e. every checkpoint, so a
-    deadline is honoured within one checkpoint interval).
+    Either limit may be set; an all-``None`` budget never trips and costs
+    one integer increment per checkpoint.  ``clock`` defaults to the
+    process monotonic clock; tests inject
+    :class:`repro.runtime.clock.FakeClock`.  The clock is read at every
+    checkpoint, so a deadline is honoured within one checkpoint interval.
     """
 
     def __init__(
         self,
         deadline: float | None = None,
         node_budget: int | None = None,
-        memo_cap: int | None = None,
         clock=None,
-        check_interval: int = 1,
     ) -> None:
         if deadline is not None and deadline < 0:
             raise ValueError("deadline must be non-negative")
         if node_budget is not None and node_budget < 0:
             raise ValueError("node_budget must be non-negative")
-        if memo_cap is not None and memo_cap < 0:
-            raise ValueError("memo_cap must be non-negative")
-        if check_interval < 1:
-            raise ValueError("check_interval must be >= 1")
         self.deadline = deadline
         self.node_budget = node_budget
-        self.memo_cap = memo_cap
         self.clock = clock if clock is not None else MONOTONIC_CLOCK
-        self.check_interval = check_interval
         self.nodes_charged = 0
-        self.memo_cells = 0
         self.exhausted_reason: str | None = None
         self._started_at: float | None = None
         self._deadline_at: float | None = None
-        self._since_clock_check = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -120,7 +110,6 @@ class Budget:
                 obs_events.EVENT_BUDGET_TRIPPED,
                 reason=reason,
                 nodes_charged=self.nodes_charged,
-                memo_cells=self.memo_cells,
                 elapsed_seconds=self.elapsed(),
             )
         return reason
@@ -133,12 +122,10 @@ class Budget:
         self.nodes_charged += cost
         if self.node_budget is not None and self.nodes_charged > self.node_budget:
             return self._trip(REASON_NODES)
-        if self._deadline_at is not None:
-            self._since_clock_check += cost
-            if self._since_clock_check >= self.check_interval:
-                self._since_clock_check = 0
-                if self.clock.now() >= self._deadline_at:
-                    return self._trip(REASON_DEADLINE)
+        # A zero-cost check charges nothing, so it reads no clock either.
+        if cost and self._deadline_at is not None:
+            if self.clock.now() >= self._deadline_at:
+                return self._trip(REASON_DEADLINE)
         return None
 
     def checkpoint(self, cost: int = 1) -> None:
@@ -155,18 +142,6 @@ class Budget:
         """Charge ``cost`` nodes; return True (sticky) once the budget trips."""
         return self._check(cost) is not None
 
-    def charge_memo(self, cells: int) -> None:
-        """Account for ``cells`` memo-table cells; raise if past the cap."""
-        self.start()
-        self.memo_cells += cells
-        if self.memo_cap is not None and self.memo_cells > self.memo_cap:
-            if self.exhausted_reason != REASON_MEMO:
-                self._trip(REASON_MEMO)
-            raise BudgetExhaustedError(
-                f"memo cap exceeded ({self.memo_cells} > {self.memo_cap} cells)",
-                reason=REASON_MEMO,
-            )
-
     # -- state -------------------------------------------------------------
 
     @property
@@ -181,8 +156,9 @@ class Budget:
             return "budget_exhausted"
         return default
 
-    def under_pressure(self, fraction: float = 0.1) -> bool:
-        """True once less than ``fraction`` of the deadline remains.
+    def under_pressure(self) -> bool:
+        """True once less than :data:`PRESSURE_FRACTION` of the deadline
+        remains.
 
         Lets the planner/executor shed optional work (estimation, trace
         building) before the deadline actually trips.  Always False for
@@ -194,7 +170,7 @@ class Budget:
             return False
         self.start()
         remaining = self._deadline_at - self.clock.now()
-        return remaining < fraction * self.deadline
+        return remaining < PRESSURE_FRACTION * self.deadline
 
 
 # -- ambient budget stack --------------------------------------------------

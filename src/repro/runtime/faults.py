@@ -92,21 +92,13 @@ class FaultPlan:
         return SkewedClock(clock, random.Random(self.seed + 1), self.clock_skew)
 
     def starve(self, budget: Budget) -> Budget:
-        """A copy of ``budget`` with every cap divided by ``starvation``."""
-
-        def _shrink(value: int | float | None):
-            return None if value is None else max(1, int(value // self.starvation))
-
-        deadline = None
+        """A copy of ``budget`` with both caps divided by ``starvation``."""
+        deadline = node_budget = None
         if budget.deadline is not None:
             deadline = budget.deadline / self.starvation
-        return Budget(
-            deadline=deadline,
-            node_budget=_shrink(budget.node_budget),
-            memo_cap=_shrink(budget.memo_cap),
-            clock=budget.clock,
-            check_interval=budget.check_interval,
-        )
+        if budget.node_budget is not None:
+            node_budget = max(1, int(budget.node_budget // self.starvation))
+        return Budget(deadline=deadline, node_budget=node_budget, clock=budget.clock)
 
 
 _ACTIVE_PLAN: FaultPlan | None = None

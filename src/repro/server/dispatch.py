@@ -37,7 +37,7 @@ from repro.engine.executor import execute as engine_execute
 from repro.engine.planner import plan as engine_plan
 from repro.engine.query import JoinQuery
 from repro.errors import GraphError, PredicateError, RelationError
-from repro.graphs.io import load_bipartite, load_graph
+from repro.graphs.io import load_any_graph
 from repro.joins import predicates as predicate_module
 from repro.obs import context as obs_context
 from repro.obs import metrics as obs_metrics
@@ -78,30 +78,12 @@ EXPLAIN_PREDICATES = {
 
 
 def parse_graph_text(text: str) -> AnyGraph:
-    """Load a request's graph payload, sniffing the variant.
-
-    The text format declares plain graphs with ``V`` lines and bipartite
-    graphs with ``L``/``R`` lines (:mod:`repro.graphs.io`); the first
-    tagged line decides.  Defects become ``invalid_graph`` protocol
-    errors, never tracebacks.
+    """Load a request's graph payload, either variant
+    (:func:`~repro.graphs.io.load_any_graph`).  Defects become
+    ``invalid_graph`` protocol errors, never tracebacks.
     """
-    variant = "bipartite"
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if "graph" in line and "bipartite" not in line:
-                variant = "graph"
-            break
-        tag = line.split(None, 1)[0]
-        if tag == "V":
-            variant = "graph"
-        break
     try:
-        if variant == "graph":
-            return load_graph(text)
-        return load_bipartite(text)
+        return load_any_graph(text)
     except GraphError as exc:
         raise ProtocolError(ERROR_INVALID_GRAPH, str(exc)) from exc
 
@@ -119,12 +101,10 @@ class Dispatcher:
         cache: SolveCache | None = None,
         pool: pool_mod.WorkerPool | None = None,
         default_deadline: float | None = None,
-        memo_cap: int | None = None,
     ) -> None:
         self.cache = cache
         self.pool = pool
         self.default_deadline = default_deadline
-        self.memo_cap = memo_cap
 
     async def handle(self, request: Request) -> dict[str, Any]:
         """Serve one ``solve``/``plan``/``explain`` request; returns the
@@ -246,8 +226,7 @@ class Dispatcher:
                     budget.remaining() if budget is not None else None,
                     len(batch.pending),
                     jobs,
-                ),
-                self.memo_cap,
+                )
             )
             if self.pool is None:
                 for task in tasks:

@@ -18,7 +18,9 @@ Operations:
 ``solve``
     Solve PEBBLE on the graph (the text format of
     :mod:`repro.graphs.io`); the result carries costs, status, and the
-    full scheme as vertex pairs.
+    full scheme as vertex pairs.  ``options`` may carry only the
+    registry's answer settings, as integers (``node_budget``,
+    ``exact_edge_limit``); anything else is ``bad_request``.
 ``plan``
     Same pipeline, but the response omits the scheme — a join-*plan*
     summary (per-component shape, costs, status) at a fraction of the
@@ -69,6 +71,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.core.solvers.registry import ANSWER_SETTINGS
 from repro.errors import ReproError
 from repro.obs import context as obs_context
 from repro.obs.context import TraceContext
@@ -232,6 +235,8 @@ def parse_request(line: str | bytes) -> Request:
         raise ProtocolError(
             ERROR_BAD_REQUEST, "'options' must be an object with string keys"
         )
+    if op in SOLVE_OPS:
+        _check_solve_options(options)
     # Lenient by design: trace context is a correlation hint, so a
     # malformed (or absent) 'trace' yields None rather than an error.
     trace = obs_context.from_wire(payload.get("trace"))
@@ -249,6 +254,24 @@ def parse_request(line: str | bytes) -> Request:
         predicate=predicate,
         band_width=band_width,
     )
+
+
+def _check_solve_options(options: dict[str, Any]) -> None:
+    """A solve's options are the registry's answer settings
+    (:data:`~repro.core.solvers.registry.ANSWER_SETTINGS`), each of its
+    declared type.  The deadline is a request field of its own, and a
+    budget or clock is an in-process object no request can carry."""
+    for name, value in options.items():
+        kind = ANSWER_SETTINGS.get(name)
+        if kind is None:
+            raise ProtocolError(
+                ERROR_BAD_REQUEST,
+                f"unknown option {name!r} (options: {', '.join(ANSWER_SETTINGS)})",
+            )
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ProtocolError(
+                ERROR_BAD_REQUEST, f"option {name!r} must be an {kind.__name__}"
+            )
 
 
 def encode_request(

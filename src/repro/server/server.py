@@ -114,7 +114,6 @@ class SolveServer:
         cache: SolveCache | None = None,
         admission: AdmissionController | None = None,
         default_deadline: float | None = None,
-        memo_cap: int | None = None,
         run_dir: str | Path | None = None,
         journal_dir: str | Path | None = None,
         recover: bool = False,
@@ -137,7 +136,6 @@ class SolveServer:
             cache=cache,
             pool=self.pool,
             default_deadline=default_deadline,
-            memo_cap=memo_cap,
         )
         self.run_dir = Path(run_dir) if run_dir is not None else None
         self.journal = (

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from repro.core.lower_bounds import path_partition_lower_bound
 from repro.core.scheme import PebblingScheme
-from repro.core.solvers import registry
 from repro.core.solvers.dfs_approx import component_tour_dfs
 from repro.core.solvers.equijoin import biclique_tour
 from repro.core.solvers.exact import DEFAULT_NODE_BUDGET, optimal_component_tour
@@ -24,7 +23,6 @@ from repro.core.solvers.local_search import improve_tour
 from repro.core.solvers.registry import (
     AUTO_EXACT_EDGE_LIMIT,
     SolveResult,
-    _resolve_budget,
     _status_of,
 )
 from repro.errors import BudgetExhaustedError, InstanceTooLargeError, SolverError
@@ -34,6 +32,7 @@ from repro.graphs.line_graph import line_graph
 from repro.parallel.cache import cache_key
 from repro.parallel.fingerprint import canonical_form
 from repro.parallel.service import _merge_provenance, _merge_status, rebind_result
+from repro.runtime.budget import Budget, current_budget
 from repro.runtime.anytime import (
     DEGRADED_STATUSES,
     STATUS_COMPLETE,
@@ -207,12 +206,15 @@ def _solve(graph, method, budget=None, degradations=(), **options) -> SolveResul
 
 
 def solve(graph, method: str = "auto", **options) -> SolveResult:
-    """``registry.solve`` with no cache installed, split per solver."""
-    budget = _resolve_budget(options)
-    solver_options = {
-        k: v for k, v in options.items() if k not in registry._BUDGET_OPTION_KEYS
-    }
-    return _solve(graph, method, budget, **solver_options)
+    """``registry.solve``, split per solver."""
+    budget = options.pop("budget", None)
+    deadline = options.pop("deadline", None)
+    clock = options.pop("clock", None)
+    if budget is None and deadline is not None:
+        budget = Budget(deadline=deadline, clock=clock)
+    if budget is None:
+        budget = current_budget()
+    return _solve(graph, method, budget, **options)
 
 
 def _assemble(graph, method, results) -> SolveResult:

@@ -19,6 +19,7 @@ from repro.core.solvers.registry import (
     optimal_effective_cost,
     solve,
 )
+from repro.runtime import FakeClock
 
 
 class TestAuto:
@@ -82,6 +83,13 @@ class TestExplicitMethods:
         with pytest.raises(SolverError):
             solve(worst_case_family(3), "equijoin")
 
+    @pytest.mark.parametrize(
+        "setting", [{"node_buget": 1}, {"typo_option": 3}, {"memo_cap": 5}]
+    )
+    def test_unknown_setting_rejected(self, setting):
+        with pytest.raises(TypeError):
+            solve(worst_case_family(3), "auto", **setting)
+
 
 class TestResult:
     def test_summary_format(self):
@@ -115,14 +123,16 @@ class TestBudgetOptionsNonDestructive:
     def test_shared_options_dict_survives_two_resolutions(self):
         from repro.core.solvers.registry import _resolve_budget
 
-        shared = {"deadline": 5.0, "memo_cap": 100}
+        shared = {"deadline": 5.0, "clock": FakeClock()}
         snapshot = dict(shared)
-        first = _resolve_budget(shared)
+        first = _resolve_budget(None, **shared)
         assert shared == snapshot
-        second = _resolve_budget(shared)
+        second = _resolve_budget(None, **shared)
         assert shared == snapshot
         assert first is not None and first.deadline == 5.0
         assert second is not None and second.deadline == 5.0
+        assert first.clock is second.clock is shared["clock"]
+        assert first is not second
 
     def test_solving_twice_with_one_options_dict(self):
         g = worst_case_family(2)

@@ -142,13 +142,13 @@ class TestRuntimeEmissionSites:
         assert event.attrs["reason"] == "deadline"
         assert event.attrs["elapsed_seconds"] >= 1.0
 
-    def test_memo_cap_emits_once_across_repeated_raises(self):
+    def test_node_budget_emits_once_across_repeated_raises(self):
         obs.enable()
-        budget = Budget(memo_cap=1)
+        budget = Budget(node_budget=1)
         with pytest.raises(BudgetExhaustedError):
-            budget.charge_memo(5)
+            budget.checkpoint(5)
         with pytest.raises(BudgetExhaustedError):
-            budget.charge_memo(5)
+            budget.checkpoint(5)
         names = [e.name for e in events.events()]
         assert names == [events.EVENT_BUDGET_TRIPPED]
 

@@ -19,10 +19,8 @@ from repro.parallel.cache import (
     SQLiteCacheTier,
     cache_key,
     cache_token,
-    current_cache,
     entry_from_result,
     options_digest,
-    use_cache,
 )
 from repro.parallel.fingerprint import canonical_form
 from repro.runtime.anytime import STATUS_BUDGET_EXHAUSTED
@@ -235,31 +233,7 @@ class TestLockedRetry:
         tier.close()
 
 
-class TestAmbientStack:
-    def test_nested_masking(self):
-        outer = SolveCache()
-        assert current_cache() is None
-        with use_cache(outer):
-            assert current_cache() is outer
-            with use_cache(None):
-                assert current_cache() is None
-            assert current_cache() is outer
-        assert current_cache() is None
-
-
 class TestRegistryIntegration:
-    def test_solve_consults_ambient_cache(self):
-        g = worst_case_family(3)
-        baseline = solve(g, "auto")
-        cache = SolveCache()
-        with use_cache(cache):
-            first = solve(g, "auto")
-            second = solve(g, "auto")
-        assert cache.stats.misses == 1
-        assert cache.stats.hits == 1
-        assert _result_fingerprint(first) == _result_fingerprint(baseline)
-        assert _result_fingerprint(second) == _result_fingerprint(baseline)
-
     def test_no_cache_no_interference(self):
         g = worst_case_family(2)
         assert _result_fingerprint(solve(g, "auto")) == _result_fingerprint(

@@ -31,7 +31,6 @@ from repro.parallel import (
     WorkerPool,
     solve_many,
     split_deadline,
-    use_cache,
 )
 from repro.server.dispatch import Dispatcher
 from repro.server.protocol import OP_SOLVE, Request
@@ -154,26 +153,25 @@ class TestReassembly:
         costs = [r.effective_cost for r in solve_many(graphs, jobs=2)]
         assert costs == [solve(g, "auto").effective_cost for g in graphs]
 
+    @pytest.mark.parametrize(
+        "setting", [{"bogus": 1}, {"node_buget": 1}, {"memo_cap": 5}]
+    )
+    def test_unknown_setting_rejected_before_cache_lookup(self, setting):
+        cache = SolveCache()
+        with pytest.raises(TypeError):
+            solve_many([worst_case_family(3)], cache=cache, **setting)
+        assert cache.stats.misses == cache.stats.hits == 0
+
 
 class TestCacheEquivalence:
     def test_warm_equals_cold(self):
         graphs = _batch()
         cache = SolveCache()
-        with use_cache(cache):
-            cold = solve_many(graphs, jobs=2)
-            warm = solve_many(graphs, jobs=2)
+        cold = solve_many(graphs, jobs=2, cache=cache)
+        warm = solve_many(graphs, jobs=2, cache=cache)
         assert _fingerprints(cold) == _fingerprints(warm)
         assert cache.stats.hits > 0
         assert cache.stats.misses == cache.stats.stores
-
-    def test_cache_arg_overrides_ambient(self):
-        graphs = [worst_case_family(2)]
-        explicit = SolveCache()
-        ambient = SolveCache()
-        with use_cache(ambient):
-            solve_many(graphs, cache=explicit)
-        assert explicit.stats.misses == 1
-        assert ambient.stats.misses == 0
 
     def test_persistent_cache_across_calls(self, tmp_path):
         db = tmp_path / "cache.db"

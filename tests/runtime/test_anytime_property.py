@@ -45,12 +45,10 @@ def budgets(draw):
     """Budgets ranging from starved to effectively unlimited."""
     node_budget = draw(st.one_of(st.none(), st.integers(1, 200)))
     deadline = draw(st.one_of(st.none(), st.floats(0.001, 0.2)))
-    memo_cap = draw(st.one_of(st.none(), st.integers(1, 10_000)))
     step = draw(st.sampled_from([0.0, 0.001, 0.01]))
     return Budget(
         deadline=deadline,
         node_budget=node_budget,
-        memo_cap=memo_cap,
         clock=FakeClock(step=step),
     )
 
@@ -92,7 +90,6 @@ def test_anytime_result_is_replayable_deterministically(graph, budget):
     rerun = Budget(
         deadline=budget.deadline,
         node_budget=budget.node_budget,
-        memo_cap=budget.memo_cap,
         clock=FakeClock(step=budget.clock.step),
     )
     second = solve(graph, "auto", budget=rerun)

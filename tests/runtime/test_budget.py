@@ -8,7 +8,6 @@ from repro.runtime import (
     FakeClock,
     MonotonicClock,
     REASON_DEADLINE,
-    REASON_MEMO,
     REASON_NODES,
     STATUS_BUDGET_EXHAUSTED,
     STATUS_TIMED_OUT,
@@ -40,8 +39,6 @@ class TestBudget:
             Budget(deadline=-1.0)
         with pytest.raises(ValueError):
             Budget(node_budget=-1)
-        with pytest.raises(ValueError):
-            Budget(memo_cap=-1)
 
     def test_unlimited_budget_never_trips(self):
         budget = Budget()
@@ -83,21 +80,16 @@ class TestBudget:
         assert budget.poll() is True
         assert budget.poll() is True
 
-    def test_memo_cap(self):
-        budget = Budget(memo_cap=100)
-        budget.charge_memo(60)
-        with pytest.raises(BudgetExhaustedError) as exc:
-            budget.charge_memo(60)
-        assert exc.value.reason == REASON_MEMO
-
-    def test_check_interval_batches_clock_reads(self):
+    def test_one_clock_read_per_charged_check(self):
         clock = FakeClock(step=0.0)
-        budget = Budget(deadline=10.0, clock=clock, check_interval=10)
+        budget = Budget(deadline=10.0, clock=clock).start()
         calls_at_start = clock.calls
-        for _ in range(100):
+        for _ in range(10):
             budget.checkpoint()
-        # start() reads once; then one read per 10 charges.
-        assert clock.calls - calls_at_start <= 12
+        budget.checkpoint(0)
+        assert budget.poll(0) is False
+        # A zero-cost check charges nothing and reads no clock.
+        assert clock.calls - calls_at_start == 10
 
     def test_elapsed_uses_injected_clock(self):
         clock = FakeClock(step=1.0)
@@ -108,7 +100,7 @@ class TestBudget:
 
     def test_under_pressure(self):
         clock = FakeClock(step=0.0)
-        budget = Budget(deadline=1.0, clock=clock, check_interval=1)
+        budget = Budget(deadline=1.0, clock=clock)
         budget.start()
         assert not budget.under_pressure()
         clock.advance(0.95)

@@ -42,9 +42,9 @@ class TestFaultPlan:
 
     def test_starve_divides_caps(self):
         plan = FaultPlan(seed=0, starvation=4)
-        budget = plan.starve(Budget(node_budget=100, memo_cap=8))
+        budget = plan.starve(Budget(deadline=2.0, node_budget=100))
         assert budget.node_budget == 25
-        assert budget.memo_cap == 2
+        assert budget.deadline == 0.5
 
     def test_starve_floors_at_one(self):
         plan = FaultPlan(seed=0, starvation=1000)

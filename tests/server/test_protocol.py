@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.solvers.registry import ANSWER_SETTINGS
 from repro.obs.context import TraceContext, derived_trace_id
 from repro.server import protocol
 from repro.server.protocol import (
@@ -51,11 +52,11 @@ class TestParseRequest:
         assert request.id == "r1"
 
     def test_all_fields(self):
-        line = _line(method="exact", deadline=1.5, options={"seed": 3})
+        line = _line(method="exact", deadline=1.5, options={"node_budget": 3})
         request = parse_request(line)
         assert request.method == "exact"
         assert request.deadline == 1.5
-        assert request.options == {"seed": 3}
+        assert request.options == {"node_budget": 3}
 
     def test_negative_deadline_clamps_to_zero(self):
         # An already-overrun budget: the solve degrades instantly
@@ -181,9 +182,7 @@ class TestRoundTrip:
     @given(
         st.text(min_size=1, max_size=20).filter(str.strip),
         st.dictionaries(
-            st.text(min_size=1, max_size=8),
-            st.one_of(st.integers(), st.floats(allow_nan=False), st.text(max_size=8)),
-            max_size=4,
+            st.sampled_from(sorted(ANSWER_SETTINGS)), st.integers(), max_size=2
         ),
     )
     def test_options_survive_round_trip(self, request_id, options):
@@ -191,6 +190,25 @@ class TestRoundTrip:
         request = parse_request(line.rstrip("\n"))
         assert request.id == request_id
         assert request.options == options
+
+    @given(
+        st.text(min_size=1, max_size=8).filter(
+            lambda name: name not in ANSWER_SETTINGS
+        ),
+        st.one_of(st.integers(), st.floats(allow_nan=False), st.text(max_size=8)),
+    )
+    def test_undeclared_solve_option_is_bad_request(self, name, value):
+        line = encode_request("r1", "solve", GRAPH, options={name: value})
+        with pytest.raises(ProtocolError) as exc:
+            parse_request(line.rstrip("\n"))
+        assert exc.value.code == ERROR_BAD_REQUEST
+
+    @pytest.mark.parametrize("value", ["x", 1.5, True, None, [1]])
+    def test_mistyped_solve_option_is_bad_request(self, value):
+        line = encode_request("r1", "plan", GRAPH, options={"node_budget": value})
+        with pytest.raises(ProtocolError) as exc:
+            parse_request(line.rstrip("\n"))
+        assert exc.value.code == ERROR_BAD_REQUEST
 
 
 class TestResponses:

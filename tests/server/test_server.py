@@ -124,6 +124,30 @@ class TestProtocolErrors:
                 assert bad_graph["error"]["code"] == "invalid_graph"
                 assert client.ping()["ok"] is True
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"budget": 3},
+            {"deadline": 1.0},
+            {"memo_cap": 5},
+            {"node_budget": "x"},
+            {"typo": 1},
+            {"clock": 1},
+        ],
+    )
+    def test_unknown_or_mistyped_option_is_bad_request(self, tmp_path, options):
+        cache = SolveCache()
+        with serve_background(_server(tmp_path, cache=cache)) as server:
+            with ServeClient(unix_path=server.address) as client:
+                response = client.solve(PATH6, options=options)
+                assert response["ok"] is False
+                assert response["error"]["code"] == "bad_request"
+                solved = client.solve(PATH6, options={"node_budget": 10})
+                assert solved["ok"] is True
+                assert solved["result"]["effective_cost"] == 6
+        # The rejected request never reached the cache.
+        assert cache.stats.misses == 1
+
     def test_unsupported_schema_version(self, tmp_path):
         with serve_background(_server(tmp_path)) as server:
             with ServeClient(unix_path=server.address) as client:

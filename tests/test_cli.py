@@ -61,6 +61,28 @@ class TestCommands:
         assert "NO" in out
         assert "pi(G) >= 7" in out
 
+    def test_plain_graph_file(self, tmp_path, capsys):
+        """pebble, solve and decide read a ``# graph`` file with ``V``
+        lines, as the solve server does."""
+        from repro.core.solvers.registry import solve
+        from repro.graphs.io import dump_graph
+        from repro.graphs.simple import Graph
+
+        graph = Graph()
+        for u, v in (("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")):
+            graph.add_edge(u, v)
+        graph.add_vertex("lonely")
+        expected = solve(graph)
+        path = tmp_path / "plain.graph"
+        path.write_text(dump_graph(graph))
+        assert main(["pebble", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == expected.summary()
+        assert main(["solve", str(path)]) == 0
+        assert capsys.readouterr().out == f"{path}: {expected.summary()}\n"
+        pi = expected.effective_cost
+        assert main(["decide", str(path), str(pi)]) == 0
+        assert "YES" in capsys.readouterr().out
+
     def test_svg_family(self, tmp_path, capsys):
         out_path = tmp_path / "fam.svg"
         assert main(["svg", "--family", "3", "-o", str(out_path)]) == 0

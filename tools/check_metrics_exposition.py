@@ -73,7 +73,6 @@ def _start_server(scratch: Path) -> tuple[subprocess.Popen, Path]:
             str(scratch / "run"),
             "--journal",
             str(scratch / "journal"),
-            "--metrics",
             "--metrics-window",
             "30",
         ],
