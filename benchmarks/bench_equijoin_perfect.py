@@ -1,20 +1,29 @@
 """E-T3.2 / E-T4.1: equijoin perfect pebbling in linear time.
 
-Regenerates: the perfect-pebbling table (π = m on every equijoin graph)
-and the linear-runtime series of Theorem 4.1, gated on its log-log slope.
+Regenerates: the perfect-pebbling table (π = m on every equijoin graph),
+the linear-runtime series of Theorem 4.1 on a ready graph, gated on its
+CPU-time log-log slope, and the relations → scheme series (join-graph
+extraction plus the solve), gated on the log-log slope of its bytecode
+instruction count.
 """
 
-from scaling import best_cpu_seconds, loglog_slope
+from scaling import best_cpu_seconds, loglog_slope, opcode_count
 
 from repro.analysis.experiments import equijoin_perfect_experiment
 from repro.analysis.report import Table
 from repro.graphs.generators import union_of_bicliques
 from repro.core.solvers.equijoin import solve_equijoin
 from repro.core.solvers.registry import solve
+from repro.joins.join_graph import build_join_graph
+from repro.joins.predicates import Equality
+from repro.workloads.equijoin import fk_pk_workload
 
 # Theorem 4.1 is linear; a slope above this bound means some step of
 # solve(g, "auto") grows faster than the edge count.
 MAX_SLOPE = 1.25
+# The same claim from relations to scheme, on the instruction count,
+# which does not depend on the host.
+MAX_COUNT_SLOPE = 1.10
 
 
 def test_equijoin_perfect_table(emit):
@@ -45,6 +54,62 @@ def test_linear_time_series(emit):
         table.add_row([b, m, round(seconds, 4), round(1e6 * seconds / m, 2)])
     emit("E-T4.1_linear_time", table)
     assert slope <= MAX_SLOPE, f"E-T4.1 slope {slope:.2f} > {MAX_SLOPE}"
+
+
+def relations_to_scheme(left, right):
+    return solve(build_join_graph(left, right, Equality()), "auto")
+
+
+def test_relations_to_scheme_series(emit):
+    """``build_join_graph(R, S, Equality())`` then ``solve(g, "auto")`` on
+    fk-pk relations, m = 1.2k to 19.2k facts: hash extraction, the split
+    from its buckets, the snake tours and the scheme validation.  The gate
+    is on the instruction-count slope; the CPU time (best of 3 runs, round
+    robin over the sizes) is reported beside it.  Hashing and set work
+    run in C and count as one instruction each, so the CPU column stays
+    in the table."""
+    sizes = (1200, 2400, 4800, 9600, 19200)
+    relations = {n: fk_pk_workload(n, (3 * n) // 5, seed=1) for n in sizes}
+    results = {n: relations_to_scheme(*rel) for n, rel in relations.items()}
+    best = dict.fromkeys(sizes, float("inf"))
+    for _ in range(3):
+        for n, rel in relations.items():
+            seconds = best_cpu_seconds(lambda: relations_to_scheme(*rel), runs=1)
+            best[n] = min(best[n], seconds)
+    instructions = {
+        n: opcode_count(relations_to_scheme, *rel) for n, rel in relations.items()
+    }
+    ms = [len(results[n].scheme) for n in sizes]
+    slope = loglog_slope(ms, [best[n] for n in sizes])
+    count_slope = loglog_slope(ms, [instructions[n] for n in sizes])
+    table = Table(
+        ["facts", "m", "pi", "cpu_seconds", "us_per_edge", "instr_per_edge"],
+        title=(
+            "E-T4.1: equijoin relations -> scheme scaling, "
+            f"log-log slope {slope:.2f} (report only), "
+            f"instruction-count slope {count_slope:.4f} "
+            f"(bound {MAX_COUNT_SLOPE:.2f})"
+        ),
+    )
+    for n, m in zip(sizes, ms):
+        table.add_row(
+            [
+                n,
+                m,
+                results[n].effective_cost,
+                round(best[n], 4),
+                round(1e6 * best[n] / m, 2),
+                round(instructions[n] / m, 1),
+            ]
+        )
+    emit("E-T4.1_relations_to_scheme", table)
+    assert all(
+        r.method == "equijoin" and r.effective_cost == m
+        for r, m in zip(results.values(), ms)
+    )
+    assert count_slope <= MAX_COUNT_SLOPE, (
+        f"E-T4.1 instruction-count slope {count_slope:.4f} > {MAX_COUNT_SLOPE}"
+    )
 
 
 def test_equijoin_single_solve():

@@ -41,10 +41,12 @@ def effective_cost_bounds(graph: AnyGraph | Decomposition) -> tuple[int, int]:
     Lower bound: ``m`` (every move deletes at most one edge).  Upper bound:
     summed per connected component ``c``: ``⌊1.25 · m_c⌋`` by Theorem 3.1
     (each component is pebbled independently by Lemma 2.2).  For a graph
-    with no edges both bounds are 0.
+    with no edges both bounds are 0.  The per-component edge counts come
+    from the decomposition, so a graph split from its equijoin blocks
+    builds no component graphs here.
     """
     parts = decompose(graph)
-    upper = sum(math.floor(1.25 * c.num_edges) for c in parts.components)
+    upper = sum(math.floor(1.25 * m) for m in parts.edge_counts)
     return (parts.graph.num_edges, upper)
 
 

@@ -15,8 +15,12 @@ the merge phase of sort-merge join".
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from itertools import repeat
+
 from repro.errors import SolverError
 from repro.graphs.bipartite import BipartiteGraph
+from repro.graphs.simple import Vertex
 # component_vertex_sets stays imported: perfbench/tracer.py wraps it here.
 from repro.graphs.components import Decomposition, component_vertex_sets, decompose
 from repro.core.scheme import PebblingScheme
@@ -28,23 +32,30 @@ def is_union_of_bicliques(graph: BipartiteGraph | Decomposition) -> bool:
 
     This is both a structural *test* (equijoin graphs always pass; the
     worst-case family of Fig 1 fails) and the admission check of the
-    linear-time solver.
+    linear-time solver.  A graph split from its equijoin blocks passes
+    without a look at its components.
     """
-    return all(c.is_complete_bipartite() for c in decompose(graph).components)
+    parts = decompose(graph)
+    if parts.blocks is not None:
+        return True
+    return all(c.is_complete_bipartite() for c in parts.components)
+
+
+def _snake(lefts: Sequence[Vertex], rights: Sequence[Vertex]) -> list[tuple]:
+    """The boustrophedon order over ``lefts × rights``: each row of
+    ``rights`` in turn, every other row backwards."""
+    backwards = rights[::-1]
+    tour: list[tuple] = []
+    for row, u in enumerate(lefts):
+        tour.extend(zip(repeat(u), backwards if row % 2 else rights))
+    return tour
 
 
 def biclique_tour(component: BipartiteGraph) -> list[tuple]:
     """The boustrophedon edge order of Lemma 3.2 for one complete bipartite
     component.  Consecutive edges always share an endpoint, so the induced
     scheme is perfect (``π = m``)."""
-    lefts = component.left
-    rights = component.right
-    tour: list[tuple] = []
-    for row, u in enumerate(lefts):
-        columns = rights if row % 2 == 0 else list(reversed(rights))
-        for v in columns:
-            tour.append((u, v))
-    return tour
+    return _snake(component.left, component.right)
 
 
 def solve_equijoin(graph: BipartiteGraph | Decomposition) -> PebblingScheme:
@@ -53,15 +64,21 @@ def solve_equijoin(graph: BipartiteGraph | Decomposition) -> PebblingScheme:
     Raises :class:`~repro.errors.SolverError` if some component is not
     complete bipartite (i.e. the input cannot be an equijoin join graph) —
     callers wanting a best-effort answer should use the registry's ``auto``
-    method instead.
+    method instead.  A graph split from its equijoin blocks is toured
+    straight from them.
     """
     parts = decompose(graph)
+    blocks = parts.blocks
+    if blocks is None:
+        blocks = []
+        for component in parts.components:
+            if not component.is_complete_bipartite():
+                raise SolverError(
+                    "component is not complete bipartite; "
+                    "not an equijoin join graph"
+                )
+            blocks.append((component.left, component.right))
     tour: list[tuple] = []
-    for component in parts.components:
-        if not component.is_complete_bipartite():
-            raise SolverError(
-                "component is not complete bipartite; "
-                "not an equijoin join graph"
-            )
-        tour.extend(biclique_tour(component))
+    for lefts, rights in blocks:
+        tour.extend(_snake(lefts, rights))
     return PebblingScheme.from_edge_order(parts.graph, tour)

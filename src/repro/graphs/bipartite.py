@@ -20,6 +20,9 @@ from repro.graphs.simple import Graph, Vertex
 
 JoinEdge = tuple[Any, Any]
 
+Block = tuple[tuple[Vertex, ...], tuple[Vertex, ...]]
+"""One complete bipartite component: its left and its right vertices."""
+
 
 class BipartiteGraph:
     """A bipartite graph with explicit left/right partitions.
@@ -45,15 +48,19 @@ class BipartiteGraph:
         right: Iterable[Vertex] = (),
         edges: Iterable[tuple[Vertex, Vertex]] = (),
     ) -> None:
-        self._left: dict[Vertex, set[Vertex]] = {}
-        self._right: dict[Vertex, set[Vertex]] = {}
+        self._left: dict[Vertex, set[Vertex]] = {v: set() for v in left}
+        self._right: dict[Vertex, set[Vertex]] = {v: set() for v in right}
+        if not self._left.keys().isdisjoint(self._right):
+            both = next(v for v in self._right if v in self._left)
+            raise GraphError(f"vertex {both!r} is already on the left side")
         # Vertex -> place in the vertex order (left, then right), built by
         # the first subgraph and rebuilt when the vertex count changes.
         self._place: dict[Vertex, int] | None = None
-        for vertex in left:
-            self.add_left_vertex(vertex)
-        for vertex in right:
-            self.add_right_vertex(vertex)
+        # Bumped by every mutation; the decomposition hint holds only
+        # while it still reads the value it was recorded at.
+        self._version = 0
+        self._blocks: tuple[Block, ...] | None = None
+        self._blocks_version = -1
         for u, v in edges:
             self.add_edge(u, v)
 
@@ -61,14 +68,20 @@ class BipartiteGraph:
     # construction
     # ------------------------------------------------------------------
     def add_left_vertex(self, vertex: Vertex) -> None:
+        if vertex in self._left:
+            return
         if vertex in self._right:
             raise GraphError(f"vertex {vertex!r} is already on the right side")
-        self._left.setdefault(vertex, set())
+        self._left[vertex] = set()
+        self._version += 1
 
     def add_right_vertex(self, vertex: Vertex) -> None:
+        if vertex in self._right:
+            return
         if vertex in self._left:
             raise GraphError(f"vertex {vertex!r} is already on the left side")
-        self._right.setdefault(vertex, set())
+        self._right[vertex] = set()
+        self._version += 1
 
     def add_edge(self, u: Vertex, v: Vertex) -> None:
         """Add the edge ``(u, v)`` with ``u`` on the left and ``v`` on the right.
@@ -86,6 +99,7 @@ class BipartiteGraph:
         self.add_right_vertex(v)
         self._left[u].add(v)
         self._right[v].add(u)
+        self._version += 1
 
     def remove_edge(self, u: Vertex, v: Vertex) -> None:
         """Remove edge ``(u, v)``; raises if absent."""
@@ -95,6 +109,58 @@ class BipartiteGraph:
             u, v = v, u
         self._left[u].discard(v)
         self._right[v].discard(u)
+        self._version += 1
+
+    def add_bicliques(self, blocks: Iterable[Block]) -> None:
+        """Join every left vertex of each block to every right vertex of
+        it, and record the blocks as the graph's decomposition hint
+        (:meth:`biclique_blocks`).
+
+        The graph must have no edges yet, every block vertex must already
+        be on its side, no vertex may be listed twice and each block needs
+        both sides non-empty; otherwise :class:`GraphError` is raised, the
+        blocks before the bad vertex stay added and no hint is recorded.
+        The caller vouches for the order: blocks in the order of their
+        first left vertex, each side in the graph's vertex order, which is
+        the order :func:`~repro.graphs.components.decompose` lists
+        components in.  Pairs are distinct by construction, so nothing is
+        deduplicated.
+        """
+        if any(self._left.values()):
+            raise GraphError("add_bicliques needs a graph with no edges")
+        self._version += 1
+        recorded = []
+        for lefts, rights in blocks:
+            lefts, rights = tuple(lefts), tuple(rights)
+            if not lefts or not rights:
+                raise GraphError("a block needs vertices on both sides")
+            # A listed vertex must still be edgeless: that catches one
+            # listed twice, in one block or two.  set(tuple) inserts in
+            # tuple order, as add_edge would have.
+            for side, vertices, others in (
+                (self._left, lefts, rights),
+                (self._right, rights, lefts),
+            ):
+                for vertex in vertices:
+                    if side.get(vertex, True):
+                        raise GraphError(
+                            f"block vertex {vertex!r} is not an edgeless "
+                            "vertex of its side"
+                        )
+                    side[vertex] = set(others)
+            recorded.append((lefts, rights))
+        self._blocks = tuple(recorded)
+        self._blocks_version = self._version
+
+    def biclique_blocks(self) -> tuple[Block, ...] | None:
+        """The decomposition hint :meth:`add_bicliques` recorded: one
+        ``(left vertices, right vertices)`` block per component with an
+        edge, every one complete bipartite.  None when no hint was
+        recorded or the graph was mutated since (:meth:`copy` does not
+        carry it either)."""
+        if self._blocks_version == self._version:
+            return self._blocks
+        return None
 
     # ------------------------------------------------------------------
     # queries
@@ -117,7 +183,7 @@ class BipartiteGraph:
     def num_edges(self) -> int:
         """``m``, the paper's input-size measure (§2): the number of result
         tuples the join produces."""
-        return sum(len(nbrs) for nbrs in self._left.values())
+        return sum(map(len, self._left.values()))
 
     def edges(self) -> list[JoinEdge]:
         """Edges in canonical (left, right) orientation, sorted for

@@ -9,10 +9,9 @@ graph once; every solver, bound and batch path works on that one split.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from repro.errors import GraphError
-from repro.graphs.bipartite import BipartiteGraph
+from repro.graphs.bipartite import BipartiteGraph, Block
 from repro.graphs.simple import Graph, Vertex
 
 AnyGraph = Graph | BipartiteGraph
@@ -57,7 +56,6 @@ def component_vertex_sets(graph: AnyGraph) -> list[set[Vertex]]:
     return components
 
 
-@dataclass(frozen=True)
 class Decomposition:
     """A graph split into its connected components (Lemma 2.2).
 
@@ -66,25 +64,93 @@ class Decomposition:
     as the paper removes them a priori (§2).  Each component keeps the
     parent's vertex order; a connected graph without isolated vertices is
     its own one component, not a copy.  Build one with :func:`decompose`.
+
+    A graph that carries a valid decomposition hint
+    (:meth:`~repro.graphs.bipartite.BipartiteGraph.biclique_blocks`, which
+    equijoin extraction records) splits with no search: ``blocks`` holds
+    its complete bipartite blocks, ``betti`` and ``edge_counts`` come
+    from them, and ``components`` is built from them on first access.
+    ``blocks`` is None for a graph split by BFS.  A decomposition
+    describes the graph as it was split; split again after a mutation.
     """
 
-    graph: AnyGraph
-    components: tuple[AnyGraph, ...]
+    def __init__(
+        self,
+        graph: AnyGraph,
+        components: Iterable[AnyGraph] | None = None,
+        *,
+        blocks: tuple[Block, ...] | None = None,
+    ) -> None:
+        if (components is None) == (blocks is None):
+            raise TypeError("a Decomposition takes components or blocks")
+        self.graph = graph
+        self.blocks = blocks
+        self._components = None if components is None else tuple(components)
+        if blocks is not None and len(blocks) == 1:
+            lefts, rights = blocks[0]
+            if len(lefts) + len(rights) == graph.num_vertices:
+                self._components = (graph,)
+
+    @property
+    def components(self) -> tuple[AnyGraph, ...]:
+        """The components with an edge, each as its own graph."""
+        if self._components is None:
+            self._components = tuple(
+                _block_graph(self.graph, block) for block in self.blocks
+            )
+        return self._components
 
     @property
     def betti(self) -> int:
         """``β₀``: the number of components with an edge (Def 2.2)."""
-        return len(self.components)
+        if self.blocks is not None:
+            return len(self.blocks)
+        return len(self._components)
+
+    @property
+    def edge_counts(self) -> list[int]:
+        """The edge count of each component, in component order."""
+        if self.blocks is not None:
+            return [len(lefts) * len(rights) for lefts, rights in self.blocks]
+        return [c.num_edges for c in self._components]
 
     def each(self) -> list["Decomposition"]:
         """One already-split decomposition per component."""
+        if self.blocks is not None:
+            return [
+                Decomposition(c, blocks=(block,))
+                for c, block in zip(self.components, self.blocks)
+            ]
         return [Decomposition(c, (c,)) for c in self.components]
 
 
+def _block_graph(graph: BipartiteGraph, block: Block) -> BipartiteGraph:
+    """One block of ``graph`` as its own graph: what ``subgraph`` builds
+    from the block's vertices (same vertex order, neighbours inserted in
+    the same order), with no sort and no membership tests, since a block
+    is closed under adjacency."""
+    lefts, rights = block
+    component = BipartiteGraph(left=lefts, right=rights)
+    near, far = component._left, component._right
+    for u in lefts:
+        nbrs = near[u]
+        for v in graph._left[u]:
+            nbrs.add(v)
+            far[v].add(u)
+    return component
+
+
 def decompose(graph: AnyGraph | Decomposition) -> Decomposition:
-    """Split ``graph`` into components once; a decomposition passes through."""
+    """Split ``graph`` into components once; a decomposition passes through.
+
+    A graph with a valid decomposition hint splits from its blocks, with
+    no BFS.
+    """
     if isinstance(graph, Decomposition):
         return graph
+    blocks = _hint(graph)
+    if blocks is not None:
+        return Decomposition(graph, blocks=blocks)
     vertex_sets = component_vertex_sets(graph)
     if len(vertex_sets) == 1 and len(vertex_sets[0]) > 1:
         # Connected with no isolated vertex: the graph is its own induced
@@ -95,18 +161,37 @@ def decompose(graph: AnyGraph | Decomposition) -> Decomposition:
     )
 
 
+def _hint(graph: AnyGraph) -> tuple[Block, ...] | None:
+    """The graph's valid decomposition hint, if it has one."""
+    if isinstance(graph, BipartiteGraph):
+        return graph.biclique_blocks()
+    return None
+
+
+def _component_count(graph: AnyGraph) -> int:
+    """The number of components, isolated vertices included."""
+    blocks = _hint(graph)
+    if blocks is None:
+        return len(component_vertex_sets(graph))
+    covered = sum(len(lefts) + len(rights) for lefts, rights in blocks)
+    return len(blocks) + graph.num_vertices - covered
+
+
 def betti_number(graph: AnyGraph, ignore_isolated: bool = True) -> int:
     """``β₀(G)``: the number of connected components (paper Def 2.2).
 
     By default isolated vertices are ignored, matching the paper's
     convention that they are removed a priori (§2); pass
     ``ignore_isolated=False`` to count them as singleton components.
+    A valid decomposition hint answers without a BFS.
     """
-    components = component_vertex_sets(graph)
     if not ignore_isolated:
-        return len(components)
+        return _component_count(graph)
+    blocks = _hint(graph)
+    if blocks is not None:
+        return len(blocks)
     # A component with an edge has two vertices (there are no self-loops).
-    return sum(1 for vs in components if len(vs) > 1)
+    return sum(1 for vs in component_vertex_sets(graph) if len(vs) > 1)
 
 
 def is_connected(graph: AnyGraph) -> bool:
@@ -114,7 +199,7 @@ def is_connected(graph: AnyGraph) -> bool:
 
     An empty graph counts as connected.
     """
-    return len(component_vertex_sets(graph)) <= 1
+    return _component_count(graph) <= 1
 
 
 def disjoint_union(first: BipartiteGraph, second: BipartiteGraph) -> BipartiteGraph:

@@ -76,18 +76,23 @@ def _naive(left: Relation, right: Relation, predicate: JoinPredicate) -> Biparti
 
 
 def _hash_equality(left: Relation, right: Relation) -> BipartiteGraph:
-    graph = _empty_graph(left, right)
+    """Both sides grouped by key; each key's pair of groups is one
+    complete bipartite component (Thm 3.2, Lemma 3.2), added whole and
+    recorded as the graph's decomposition hint.  Groups are listed in
+    order of their key's first left tuple, which is the order the
+    component search would find them in."""
+    left_refs, right_refs = left.refs(), right.refs()
+    graph = BipartiteGraph(left=left_refs, right=right_refs)
     buckets: dict = {}
-    for s_ref, s_val in right.items():
+    for s_ref, s_val in zip(right_refs, right):
         buckets.setdefault(s_val, []).append(s_ref)
-    return _add_edges(
-        graph,
-        (
-            (r_ref, s_ref)
-            for r_ref, r_val in left.items()
-            for s_ref in buckets.get(r_val, ())
-        ),
+    groups: dict = {}
+    for r_ref, r_val in zip(left_refs, left):
+        groups.setdefault(r_val, []).append(r_ref)
+    graph.add_bicliques(
+        (lefts, buckets[key]) for key, lefts in groups.items() if key in buckets
     )
+    return graph
 
 
 def _sweep_spatial(left: Relation, right: Relation) -> BipartiteGraph:

@@ -9,19 +9,25 @@ relations are allowed to be multi-sets").
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
-from typing import Any
+from functools import partial
+from itertools import repeat
+from typing import Any, NamedTuple
 
 from repro.errors import RelationError
 from repro.relations.domains import Domain, common_domain
 
 
-@dataclass(frozen=True, order=True)
-class TupleRef:
+class TupleRef(NamedTuple):
     """A stable reference to one physical tuple: relation name + ordinal.
 
     These are the vertex labels of join graphs built by
-    :func:`repro.joins.join_graph.build_join_graph`.
+    :func:`repro.joins.join_graph.build_join_graph`.  A named tuple, so
+    hashing and comparison run in C: the hash is ``hash((relation,
+    ordinal))``, refs order by relation then ordinal, and they are
+    immutable and picklable.  Like any tuple, a ref compares equal to the
+    plain tuple ``(relation, ordinal)`` (and to any other named tuple with
+    the same fields), so do not mix refs and bare pairs as labels of one
+    graph.
     """
 
     relation: str
@@ -29,6 +35,9 @@ class TupleRef:
 
     def __repr__(self) -> str:
         return f"{self.relation}[{self.ordinal}]"
+
+
+_new_ref = partial(tuple.__new__, TupleRef)
 
 
 class Relation:
@@ -89,7 +98,11 @@ class Relation:
 
     def refs(self) -> list[TupleRef]:
         """One :class:`TupleRef` per physical tuple, in order."""
-        return [TupleRef(self.name, i) for i in range(len(self._values))]
+        # tuple.__new__ builds each ref in C; calling TupleRef would run
+        # its generated Python __new__ once per tuple.
+        return list(
+            map(_new_ref, zip(repeat(self.name), range(len(self._values))))
+        )
 
     def value(self, ref: TupleRef) -> Any:
         """The attribute value of the referenced tuple."""
@@ -104,8 +117,7 @@ class Relation:
 
     def items(self) -> Iterator[tuple[TupleRef, Any]]:
         """Iterate ``(ref, value)`` pairs in tuple order."""
-        for i, v in enumerate(self._values):
-            yield TupleRef(self.name, i), v
+        return zip(self.refs(), self._values)
 
     def distinct_values(self) -> list[Any]:
         """Distinct values, first-occurrence order (hashable domains only)."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.errors import RelationError, SchemeError
 from repro.graphs.bipartite import BipartiteGraph
@@ -29,9 +29,13 @@ from repro.core.scheme import PebblingScheme
 from repro.runtime.faults import maybe_fail
 
 
-@dataclass(frozen=True, order=True)
-class PageRef:
-    """One disk page of a relation."""
+class PageRef(NamedTuple):
+    """One disk page of a relation.
+
+    A named tuple like :class:`~repro.relations.relation.TupleRef`: it
+    hashes as ``(relation, page_number)`` and compares equal to that plain
+    tuple.
+    """
 
     relation: str
     page_number: int

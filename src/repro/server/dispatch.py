@@ -36,7 +36,7 @@ from typing import Any
 from repro.engine.executor import execute as engine_execute
 from repro.engine.planner import plan as engine_plan
 from repro.engine.query import JoinQuery
-from repro.errors import GraphError, PredicateError, RelationError
+from repro.errors import GraphError, PredicateError, RelationError, SolverError
 from repro.graphs.io import load_any_graph
 from repro.joins import predicates as predicate_module
 from repro.obs import context as obs_context
@@ -46,11 +46,12 @@ from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
 from repro.parallel import pool as pool_mod
 from repro.parallel.cache import SolveCache
-from repro.parallel.service import plan_batch, split_deadline
+from repro.parallel.service import Batch, plan_batch, split_deadline
 from repro.relations.io import load_relation
 from repro.runtime import faults
 from repro.runtime.budget import Budget
 from repro.server.protocol import (
+    ERROR_BAD_REQUEST,
     ERROR_INVALID_GRAPH,
     OP_EXPLAIN,
     OP_SOLVE,
@@ -217,7 +218,36 @@ class Dispatcher:
             obs_metrics.inc("server.components", batch.components)
             obs_metrics.inc("server.components.solved", len(batch.pending))
 
-        # Fan the misses out — or solve inline when there is no pool.
+        try:
+            [result] = await self._solve_batch(batch, budget)
+        except SolverError as exc:
+            # The solver refused the input under the request's method and
+            # options (equijoin on a non-biclique, exact past its node
+            # budget): a client error, answered with the solver's reason.
+            raise ProtocolError(ERROR_BAD_REQUEST, str(exc)) from exc
+
+        payload: dict[str, Any] = {
+            "method": result.method,
+            "effective_cost": result.effective_cost,
+            "raw_cost": result.raw_cost,
+            "jumps": result.jumps,
+            "optimal": result.optimal,
+            "status": result.status,
+            "components": batch.components,
+            "cached_components": len(batch.hits),
+            "solved_components": len(batch.pending),
+        }
+        if result.provenance is not None:
+            payload["degradations"] = list(result.provenance.degradations)
+        if request.op == OP_SOLVE:
+            payload["scheme"] = [
+                [str(a), str(b)] for a, b in result.scheme.configurations
+            ]
+        return payload
+
+    async def _solve_batch(self, batch: Batch, budget: Budget | None) -> list:
+        """Solve the batch's cache misses — fanned out to the pool, or
+        inline when there is none — and finish the batch."""
         results = []
         if batch.pending:
             jobs = self.pool.jobs if self.pool is not None else 1
@@ -250,26 +280,7 @@ class Dispatcher:
                     ),
                 )
                 results = pool_mod.collect(outcomes)
-        [result] = batch.finish(results)
-
-        payload: dict[str, Any] = {
-            "method": result.method,
-            "effective_cost": result.effective_cost,
-            "raw_cost": result.raw_cost,
-            "jumps": result.jumps,
-            "optimal": result.optimal,
-            "status": result.status,
-            "components": batch.components,
-            "cached_components": len(batch.hits),
-            "solved_components": len(batch.pending),
-        }
-        if result.provenance is not None:
-            payload["degradations"] = list(result.provenance.degradations)
-        if request.op == OP_SOLVE:
-            payload["scheme"] = [
-                [str(a), str(b)] for a, b in result.scheme.configurations
-            ]
-        return payload
+        return batch.finish(results)
 
 
 __all__ = ["Dispatcher", "parse_graph_text"]

@@ -20,7 +20,11 @@ Operations:
     :mod:`repro.graphs.io`); the result carries costs, status, and the
     full scheme as vertex pairs.  ``options`` may carry only the
     registry's answer settings, as integers (``node_budget``,
-    ``exact_edge_limit``); anything else is ``bad_request``.
+    ``exact_edge_limit``); anything else is ``bad_request``.  So is a
+    ``method`` outside the registry's methods, and so is a solver's
+    refusal of the graph under the requested method and options
+    (``equijoin`` on a graph that is not a union of bicliques, ``exact``
+    past its ``node_budget``), answered with the solver's reason.
 ``plan``
     Same pipeline, but the response omits the scheme — a join-*plan*
     summary (per-component shape, costs, status) at a fraction of the
@@ -71,7 +75,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.solvers.registry import ANSWER_SETTINGS
+from repro.core.solvers.registry import ANSWER_SETTINGS, METHODS
 from repro.errors import ReproError
 from repro.obs import context as obs_context
 from repro.obs.context import TraceContext
@@ -217,6 +221,11 @@ def parse_request(line: str | bytes) -> Request:
     method = payload.get("method", "auto")
     if not isinstance(method, str):
         raise ProtocolError(ERROR_BAD_REQUEST, "'method' must be a string")
+    if method not in METHODS:
+        raise ProtocolError(
+            ERROR_BAD_REQUEST,
+            f"unknown method {method!r} (methods: {', '.join(METHODS)})",
+        )
     deadline = payload.get("deadline")
     if deadline is not None:
         if isinstance(deadline, bool) or not isinstance(deadline, (int, float)):

@@ -26,6 +26,7 @@ from repro.server.server import SolveServer, serve_background
 
 PATH6 = dump_bipartite(path_graph(6))
 K23 = dump_bipartite(complete_bipartite(2, 3))
+G4 = dump_bipartite(worst_case_family(4))
 
 
 def _server(tmp_path, **kwargs):
@@ -147,6 +148,27 @@ class TestProtocolErrors:
                 assert solved["result"]["effective_cost"] == 6
         # The rejected request never reached the cache.
         assert cache.stats.misses == 1
+
+    @pytest.mark.parametrize(
+        "method, options, reason",
+        [
+            # Rejected by the protocol before any solve.
+            ("magic", {}, "unknown method 'magic'"),
+            # Refused by the solver: G_4 is no union of bicliques ...
+            ("equijoin", {}, "not complete bipartite"),
+            # ... and exact search runs past its node budget.
+            ("exact", {"node_budget": 1}, "node budget"),
+        ],
+    )
+    def test_client_errors_are_bad_request(self, tmp_path, method, options, reason):
+        with serve_background(_server(tmp_path)) as server:
+            with ServeClient(unix_path=server.address) as client:
+                response = client.solve(G4, method=method, options=options)
+                assert response["ok"] is False
+                assert response["error"]["code"] == "bad_request"
+                assert reason in response["error"]["message"]
+                # The connection (and server) survives.
+                assert client.solve(G4)["ok"] is True
 
     def test_unsupported_schema_version(self, tmp_path):
         with serve_background(_server(tmp_path)) as server:
