@@ -22,7 +22,9 @@ from repro.engine.planner import Plan, algorithm_by_name, plan as make_plan
 from repro.engine.query import JoinQuery
 from repro.errors import SolverError
 from repro.graphs.bipartite import BipartiteGraph
-from repro.joins.algorithms import block_nested_loops
+# Looked up by name at run time; kept importable here so a caller that
+# wraps the executor's algorithms (perfbench's tracer) still finds it.
+from repro.joins.algorithms import block_nested_loops  # noqa: F401
 from repro.joins.join_graph import build_join_graph_cached
 from repro.joins.trace import TraceReport, trace_report
 from repro.obs import events as obs_events
@@ -68,13 +70,16 @@ class QueryResult:
         )
 
 
-def _run_candidate(query: JoinQuery, name: str) -> list:
-    """Execute one candidate algorithm by name (shadow-execution path)."""
-    if name == "block-NL":
-        return block_nested_loops(query.left, query.right, query.predicate)
+def _run_algorithm(query: JoinQuery, name: str) -> list:
+    """Run the join algorithm called ``name`` on ``query``'s relations:
+    block-NL also gets the predicate and band-merge the band width."""
     algorithm = algorithm_by_name(name)
     if algorithm is None:
         raise SolverError(f"unknown algorithm {name!r}")
+    if name == "block-NL":
+        return algorithm(query.left, query.right, query.predicate)
+    if name == "band-merge":
+        return algorithm(query.left, query.right, query.predicate.width)
     return algorithm(query.left, query.right)
 
 
@@ -92,7 +97,7 @@ def _shadow_execute(
     best_name: str | None = None
     for candidate in record.candidates:
         candidate_pairs = (
-            pairs if candidate.chosen else _run_candidate(query, candidate.algorithm)
+            pairs if candidate.chosen else _run_algorithm(query, candidate.algorithm)
         )
         report = trace_report(graph, candidate_pairs, candidate.algorithm)
         candidate.shadow_cost = report.effective_cost
@@ -168,15 +173,7 @@ def execute(
             raise SolverError("plan does not belong to this query")
         name = the_plan.algorithm_name
         with obs_trace.span("engine.join", algorithm=name):
-            if name == "block-NL":
-                pairs = block_nested_loops(
-                    query.left, query.right, query.predicate
-                )
-            else:
-                algorithm = algorithm_by_name(name)
-                if algorithm is None:
-                    raise SolverError(f"unknown algorithm {name!r}")
-                pairs = algorithm(query.left, query.right)
+            pairs = _run_algorithm(query, name)
         with obs_trace.span("engine.materialize", pairs=len(pairs)):
             rows = [
                 (query.left.value(l_ref), query.right.value(r_ref))

@@ -10,6 +10,9 @@ library's join algorithms:
   index pays off, PBSM when the extent is densely populated;
 - **set containment** → inverted-index join (exact, no verify) unless the
   element universe is tiny, where signatures filter well;
+- **band** → band merge (sorted windows, O(n log n + m), a snake order
+  that pebbles like sort-merge) unless the cross product is cheaper than
+  the sorts, where block nested loops wins;
 - anything else → block nested loops (always correct).
 
 The returned :class:`Plan` carries the chosen algorithm, the reasoning
@@ -29,6 +32,7 @@ from typing import Any, Callable
 from repro.engine.query import JoinQuery
 from repro.engine.stats import collect_stats, estimate_output_size
 from repro.joins.algorithms import (
+    band_merge_join,
     block_nested_loops,
     hash_join,
     interval_merge_join,
@@ -39,7 +43,7 @@ from repro.joins.algorithms import (
     signature_nested_loops,
     sort_merge_join,
 )
-from repro.joins.predicates import Equality, SetContainment, SpatialOverlap
+from repro.joins.predicates import Band, Equality, SetContainment, SpatialOverlap
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import planquality
@@ -94,11 +98,18 @@ _ALGORITHMS: dict[str, Algorithm] = {
     "pbsm": pbsm_join,
     "inverted-index": inverted_index_join,
     "signature-NL": signature_nested_loops,
-    "block-NL": None,  # handled specially (needs the predicate argument)
+    "band-merge": band_merge_join,
+    "block-NL": block_nested_loops,
 }
 
 
 def algorithm_by_name(name: str) -> Algorithm | None:
+    """The join algorithm registered under ``name`` (None if unknown).
+
+    Every algorithm takes ``(left, right)``; ``block-NL`` also takes the
+    predicate and ``band-merge`` the band width, which the executor
+    passes.
+    """
     return _ALGORITHMS.get(name)
 
 
@@ -188,6 +199,8 @@ def _choose_safe_default(query: JoinQuery) -> Plan:
             name = "plane-sweep"
     elif isinstance(predicate, SetContainment):
         name = "inverted-index"
+    elif isinstance(predicate, Band):
+        name = "band-merge"
     else:
         name = "block-NL"
     candidates = [
@@ -303,6 +316,30 @@ def _choose(query: JoinQuery) -> Plan:
                 if not tiny
                 else "posting lists degenerate on a tiny universe",
                 chosen=not tiny,
+            ),
+        ]
+        return _make_plan(query, estimated, candidates)
+
+    if isinstance(predicate, Band):
+        merge_cost = _nlogn(n_left) + _nlogn(n_right) + estimated
+        loops_cost = float(n_left * n_right)
+        merge_wins = merge_cost <= loops_cost
+        candidates = [
+            CandidateRecord(
+                "band-merge",
+                merge_cost,
+                "sorted windows: pairs emitted in a snake"
+                if merge_wins
+                else "sorts not repaid on a tiny cross product",
+                chosen=merge_wins,
+            ),
+            CandidateRecord(
+                "block-NL",
+                loops_cost,
+                "tiny cross product: nested loops"
+                if not merge_wins
+                else "cross product dwarfs the sorts",
+                chosen=not merge_wins,
             ),
         ]
         return _make_plan(query, estimated, candidates)

@@ -3,7 +3,9 @@
 The paper's effective cost ``π(G) = π̂(G) − β₀(G)`` subtracts the number of
 connected components ``β₀`` (Def 2.2), and the additivity lemma (Lemma 2.2)
 shows that disjoint join problems decompose.  :func:`decompose` splits a
-graph once; every solver, bound and batch path works on that one split.
+graph once; every solver, bound and batch path works on that one split,
+and a path that only counts (β₀, per-component edge counts) builds no
+component graph.
 """
 
 from __future__ import annotations
@@ -65,11 +67,13 @@ class Decomposition:
     parent's vertex order; a connected graph without isolated vertices is
     its own one component, not a copy.  Build one with :func:`decompose`.
 
-    A graph that carries a valid decomposition hint
+    A split keeps what it found instead of the component graphs: a BFS
+    split its vertex sets (``vertex_sets``), a graph that carries a valid
+    decomposition hint
     (:meth:`~repro.graphs.bipartite.BipartiteGraph.biclique_blocks`, which
-    equijoin extraction records) splits with no search: ``blocks`` holds
-    its complete bipartite blocks, ``betti`` and ``edge_counts`` come
-    from them, and ``components`` is built from them on first access.
+    equijoin extraction records) its complete bipartite blocks
+    (``blocks``, found with no search).  ``betti`` and ``edge_counts``
+    come from those, and ``components`` is built on first access.
     ``blocks`` is None for a graph split by BFS.  A decomposition
     describes the graph as it was split; split again after a mutation.
     """
@@ -80,11 +84,16 @@ class Decomposition:
         components: Iterable[AnyGraph] | None = None,
         *,
         blocks: tuple[Block, ...] | None = None,
+        vertex_sets: tuple[set[Vertex], ...] | None = None,
     ) -> None:
-        if (components is None) == (blocks is None):
-            raise TypeError("a Decomposition takes components or blocks")
+        given = [x is not None for x in (components, blocks, vertex_sets)]
+        if sum(given) != 1:
+            raise TypeError(
+                "a Decomposition takes one of components, blocks or vertex_sets"
+            )
         self.graph = graph
         self.blocks = blocks
+        self.vertex_sets = vertex_sets
         self._components = None if components is None else tuple(components)
         if blocks is not None and len(blocks) == 1:
             lefts, rights = blocks[0]
@@ -95,9 +104,14 @@ class Decomposition:
     def components(self) -> tuple[AnyGraph, ...]:
         """The components with an edge, each as its own graph."""
         if self._components is None:
-            self._components = tuple(
-                _block_graph(self.graph, block) for block in self.blocks
-            )
+            if self.blocks is not None:
+                self._components = tuple(
+                    _block_graph(self.graph, block) for block in self.blocks
+                )
+            else:
+                self._components = tuple(
+                    self.graph.subgraph(vs) for vs in self.vertex_sets
+                )
         return self._components
 
     @property
@@ -105,6 +119,8 @@ class Decomposition:
         """``β₀``: the number of components with an edge (Def 2.2)."""
         if self.blocks is not None:
             return len(self.blocks)
+        if self.vertex_sets is not None:
+            return len(self.vertex_sets)
         return len(self._components)
 
     @property
@@ -112,6 +128,8 @@ class Decomposition:
         """The edge count of each component, in component order."""
         if self.blocks is not None:
             return [len(lefts) * len(rights) for lefts, rights in self.blocks]
+        if self.vertex_sets is not None:
+            return [_edge_count(self.graph, vs) for vs in self.vertex_sets]
         return [c.num_edges for c in self._components]
 
     def each(self) -> list["Decomposition"]:
@@ -122,6 +140,17 @@ class Decomposition:
                 for c, block in zip(self.components, self.blocks)
             ]
         return [Decomposition(c, (c,)) for c in self.components]
+
+
+def _edge_count(graph: AnyGraph, vertex_set: set[Vertex]) -> int:
+    """The edges of the component on ``vertex_set``: the degrees of its
+    left vertices (every edge has one), or half its degree sum in a plain
+    graph.  A component is closed under adjacency, so nothing is tested."""
+    if isinstance(graph, BipartiteGraph):
+        near = graph._left
+        return sum(len(near[v]) for v in vertex_set if v in near)
+    adjacency = graph._adjacency
+    return sum(len(adjacency[v]) for v in vertex_set) // 2
 
 
 def _block_graph(graph: BipartiteGraph, block: Block) -> BipartiteGraph:
@@ -157,7 +186,7 @@ def decompose(graph: AnyGraph | Decomposition) -> Decomposition:
         # subgraph, and a copy would double the working set of every solve.
         return Decomposition(graph, (graph,))
     return Decomposition(
-        graph, tuple(graph.subgraph(vs) for vs in vertex_sets if len(vs) > 1)
+        graph, vertex_sets=tuple(vs for vs in vertex_sets if len(vs) > 1)
     )
 
 

@@ -1,7 +1,7 @@
 """Join algorithm implementations.
 
 Every algorithm has the same contract: take the input relations (and a
-predicate where applicable), return the list of matching
+predicate or band width where applicable), return the list of matching
 ``(left TupleRef, right TupleRef)`` pairs *in emission order*, each exactly
 once.  The emission order is the interesting part — through
 :mod:`repro.joins.trace` it becomes a pebbling scheme whose cost locates
@@ -19,8 +19,10 @@ from repro.joins.algorithms.set_joins import (
     signature_nested_loops,
 )
 from repro.joins.algorithms.interval_join import interval_merge_join
+from repro.joins.algorithms.band_join import band_merge_join
 
 __all__ = [
+    "band_merge_join",
     "interval_merge_join",
     "block_nested_loops",
     "hash_join",

@@ -12,7 +12,8 @@ used automatically:
 - set containment → inverted index on the right relation (posting-list
   intersection);
 - set overlap → inverted index (posting-list union);
-- band join → sort both sides and slide a merge window.
+- band join → sort both sides and slide a merge window (the band merge
+  join's windows).
 
 The accelerated paths are *exact* (the spatial sweep is the full predicate
 for rectangles; polygons fall back to bounding-box filter + verify), and
@@ -26,6 +27,7 @@ from collections import OrderedDict
 from repro.graphs.bipartite import BipartiteGraph
 from repro.geometry.primitives import Polygon, Rectangle
 from repro.geometry.sweep import sweep_rectangle_pairs
+from repro.joins.algorithms.band_join import band_merge_join
 from repro.joins.predicates import Equality, JoinPredicate, SetContainment
 from repro.obs import metrics as obs_metrics
 from repro.relations.domains import Domain
@@ -159,32 +161,6 @@ def _inverted_set_overlap(left: Relation, right: Relation) -> BipartiteGraph:
     return _add_edges(_empty_graph(left, right), pairs())
 
 
-def _sorted_band(left: Relation, right: Relation, width: float) -> BipartiteGraph:
-    # Classic band-join merge: sort both sides, slide a window of radius
-    # `width` over the right side as the left side advances.
-    def pairs():
-        left_sorted = sorted(left.items(), key=lambda item: item[1])
-        right_sorted = sorted(right.items(), key=lambda item: item[1])
-        low = 0
-        for r_ref, r_val in left_sorted:
-            # Window bounds compare the *difference* against the width,
-            # exactly as Band.matches computes |a - b| <= width; the
-            # algebraically equal forms `right < r_val - width` /
-            # `right <= r_val + width` round differently near the boundary
-            # and disagree with the predicate.
-            while low < len(right_sorted) and r_val - right_sorted[low][1] > width:
-                low += 1
-            probe = low
-            while (
-                probe < len(right_sorted)
-                and right_sorted[probe][1] - r_val <= width
-            ):
-                yield r_ref, right_sorted[probe][0]
-                probe += 1
-
-    return _add_edges(_empty_graph(left, right), pairs())
-
-
 def build_join_graph(
     left: Relation,
     right: Relation,
@@ -217,7 +193,8 @@ def build_join_graph(
     if predicate.name == "set-overlap":
         return _inverted_set_overlap(left, right)
     if predicate.name == "band":
-        return _sorted_band(left, right, predicate.width)
+        pairs = band_merge_join(left, right, predicate.width)
+        return _add_edges(_empty_graph(left, right), pairs)
     return _naive(left, right, predicate)
 
 

@@ -16,6 +16,7 @@ from repro.joins.predicates import (
     Band,
     Equality,
     SetContainment,
+    SetOverlap,
     SpatialOverlap,
 )
 from repro.relations.relation import Relation
@@ -114,6 +115,19 @@ class TestPlanner:
         assert plan(q).algorithm_name == "signature-NL"
 
     def test_generic_predicate_uses_block_nl(self):
+        q = JoinQuery(
+            Relation("R", [frozenset({1})]),
+            Relation("S", [frozenset({1, 2})]),
+            SetOverlap(),
+        )
+        assert plan(q).algorithm_name == "block-NL"
+
+    def test_band_uses_band_merge(self):
+        left = Relation("R", [i * 0.5 for i in range(40)])
+        right = Relation("S", [i * 0.7 for i in range(40)])
+        assert plan(JoinQuery(left, right, Band(1.0))).algorithm_name == "band-merge"
+
+    def test_tiny_band_uses_block_nl(self):
         q = JoinQuery(Relation("R", [1.0]), Relation("S", [1.2]), Band(0.5))
         assert plan(q).algorithm_name == "block-NL"
 

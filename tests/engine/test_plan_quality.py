@@ -14,7 +14,7 @@ import pytest
 from repro import obs
 from repro.engine import JoinQuery, execute, plan
 from repro.engine.executor import QueryResult
-from repro.joins.predicates import Band, Equality
+from repro.joins.predicates import Band, Equality, SetOverlap
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import planquality
@@ -267,12 +267,23 @@ class TestShadowExecution:
         assert not result.plan.record.shadow_checked
 
     def test_shadow_skipped_with_single_candidate(self):
-        left = Relation("R", [1.0, 2.0])
-        right = Relation("S", [1.2, 5.0])
-        result = execute(JoinQuery(left, right, Band(0.5)), shadow=True)
+        left = Relation("R", [frozenset({1}), frozenset({2})])
+        right = Relation("S", [frozenset({1, 3}), frozenset({5})])
+        result = execute(JoinQuery(left, right, SetOverlap()), shadow=True)
         record = result.plan.record
         assert record.algorithm == "block-NL"
         assert not record.shadow_checked
+
+    def test_band_shadow_scores_both_candidates(self):
+        left = Relation("R", [float(i) for i in range(8)])
+        right = Relation("S", [i + 0.25 for i in range(8)])
+        result = execute(JoinQuery(left, right, Band(0.5)), shadow=True)
+        record = result.plan.record
+        assert record.algorithm == "band-merge"
+        assert record.shadow_checked
+        assert {c.algorithm for c in record.candidates} == {"band-merge", "block-NL"}
+        assert all(c.shadow_cost is not None for c in record.candidates)
+        assert record.regret == 0
 
     def test_shadow_skipped_under_deadline_pressure(self):
         budget = Budget(deadline=0.0)

@@ -19,6 +19,7 @@ from repro.joins.predicates import (
     Band,
     Equality,
     SetContainment,
+    SetOverlap,
     SpatialOverlap,
 )
 from repro.relations.relation import Relation
@@ -123,18 +124,50 @@ class TestContainmentBoundary:
 
 
 class TestFallbackBoundary:
-    def test_band_predicate_picks_block_nl(self):
+    def test_generic_predicate_picks_block_nl(self):
+        left = Relation("R", [frozenset({1}), frozenset({2, 3})])
+        right = Relation("S", [frozenset({3}), frozenset({4})])
+        the_plan = plan(JoinQuery(left, right, SetOverlap()))
+        assert the_plan.algorithm_name == "block-NL"
+        assert the_plan.reason == "generic predicate: nested loops"
+
+
+class TestBandBoundary:
+    """band-merge costs n log n per side plus the estimated output;
+    block-NL costs the cross product.  The cheaper one wins, ties to the
+    merge."""
+
+    def test_tiny_band_picks_block_nl(self):
+        # 3 x 3: sorts 2 * 3 log2 3 ≈ 9.5 (+ est. 2) against 9 pairs.
         left = Relation("R", [1.0, 2.0, 3.0])
         right = Relation("S", [1.2, 2.9, 10.0])
         the_plan = plan(JoinQuery(left, right, Band(0.5)))
         assert the_plan.algorithm_name == "block-NL"
-        assert the_plan.reason == "generic predicate: nested loops"
+        assert the_plan.reason == "tiny cross product: nested loops"
+
+    def test_band_predicate_picks_band_merge(self):
+        # 8 x 8: sorts 2 * 8 * 3 = 48 (+ est. 8) against 64 pairs.
+        left = Relation("R", [float(i) for i in range(8)])
+        right = Relation("S", [i + 0.25 for i in range(8)])
+        the_plan = plan(JoinQuery(left, right, Band(0.5)))
+        assert the_plan.algorithm_name == "band-merge"
+        assert the_plan.reason == "sorted windows: pairs emitted in a snake"
+        costs = {c.algorithm: c.estimated_cost for c in the_plan.record.candidates}
+        assert costs == {"band-merge": 56.0, "block-NL": 64.0}
+
+    def test_dense_band_keeps_block_nl(self):
+        # Every pair joins: the output estimate tips the merge over.
+        left = Relation("R", [1.0] * 8)
+        right = Relation("S", [1.0] * 8)
+        the_plan = plan(JoinQuery(left, right, Band(0.5)))
+        assert the_plan.algorithm_name == "block-NL"
 
 
 EXPECTED_CANDIDATES = {
     "equality": {"sort-merge", "hash"},
     "spatial-overlap": {"plane-sweep", "rtree", "pbsm"},
     "set-containment": {"signature-NL", "inverted-index"},
+    "band": {"band-merge", "block-NL"},
 }
 
 
@@ -148,8 +181,13 @@ EXPECTED_CANDIDATES = {
         JoinQuery(
             *zipf_sets_workload(10, 10, universe=40, seed=0), SetContainment()
         ),
+        JoinQuery(
+            Relation("R", [float(i) for i in range(8)]),
+            Relation("S", [i + 0.25 for i in range(8)]),
+            Band(0.5),
+        ),
     ],
-    ids=["equality", "spatial", "containment"],
+    ids=["equality", "spatial", "containment", "band"],
 )
 def test_record_lists_full_candidate_set(query):
     """Every plan's record enumerates the rule's whole candidate set,

@@ -138,15 +138,26 @@ class TestExplainEndToEnd:
                 assert "actual m = 2" in result["explain"]
                 assert "a-posteriori best:" in result["render"]
 
-    def test_band_predicate(self, tmp_path):
+    def test_generic_predicate(self, tmp_path):
         with serve_background(_server(tmp_path)) as server:
             with ServeClient(unix_path=server.address) as client:
                 result = client.explain(
-                    "1.0\n2.0\n", "1.2\n9.0\n", predicate="band",
-                    band_width=0.5, analyze=True,
+                    "{a}\n{b}\n", "{a|c}\n{d}\n", predicate="set-overlap",
+                    analyze=True,
                 )["result"]
                 assert result["algorithm"] == "block-NL"
                 assert result["record"]["actual_output"] == 1
+
+    def test_band_predicate(self, tmp_path):
+        left = "".join(f"{i}.0\n" for i in range(8))
+        right = "".join(f"{i}.25\n" for i in range(8))
+        with serve_background(_server(tmp_path)) as server:
+            with ServeClient(unix_path=server.address) as client:
+                result = client.explain(
+                    left, right, predicate="band", band_width=0.5, analyze=True,
+                )["result"]
+                assert result["algorithm"] == "band-merge"
+                assert result["record"]["actual_output"] == 8
 
     def test_bad_predicate_name_is_bad_request(self, tmp_path):
         with serve_background(_server(tmp_path)) as server:

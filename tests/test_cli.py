@@ -288,16 +288,26 @@ class TestExplainCommand:
         assert validate_explain_document(document) == []
         assert document["records"][0]["actual_output"] == 2
 
+    def test_generic_predicate(self, tmp_path, capsys):
+        left = tmp_path / "left.txt"
+        right = tmp_path / "right.txt"
+        left.write_text("{a}\n{b}\n")
+        right.write_text("{a|c}\n{d}\n")
+        assert main(
+            ["explain", str(left), str(right), "--predicate", "set-overlap"]
+        ) == 0
+        assert "-> block-NL" in capsys.readouterr().out
+
     def test_band_predicate(self, tmp_path, capsys):
         left = tmp_path / "left.txt"
         right = tmp_path / "right.txt"
-        left.write_text("1.0\n2.0\n")
-        right.write_text("1.2\n9.0\n")
+        left.write_text("".join(f"{i}.0\n" for i in range(8)))
+        right.write_text("".join(f"{i}.25\n" for i in range(8)))
         assert main(
             ["explain", str(left), str(right),
              "--predicate", "band", "--band-width", "0.5"]
         ) == 0
-        assert "-> block-NL" in capsys.readouterr().out
+        assert "-> band-merge" in capsys.readouterr().out
 
     def test_scenario_mode_json_validates(self, capsys):
         import json
