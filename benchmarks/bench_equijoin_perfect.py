@@ -1,10 +1,10 @@
 """E-T3.2 / E-T4.1: equijoin perfect pebbling in linear time.
 
 Regenerates: the perfect-pebbling table (π = m on every equijoin graph),
-the linear-runtime series of Theorem 4.1 on a ready graph, gated on its
-CPU-time log-log slope, and the relations → scheme series (join-graph
-extraction plus the solve), gated on the log-log slope of its bytecode
-instruction count.
+the linear-runtime series of Theorem 4.1 on a ready graph, and the
+relations → scheme series (join-graph extraction plus the solve), each
+gated on the log-log slope of its bytecode instruction count, with the
+CPU-time slope reported beside it.
 """
 
 from scaling import best_cpu_seconds, loglog_slope, opcode_count
@@ -18,11 +18,9 @@ from repro.joins.join_graph import build_join_graph
 from repro.joins.predicates import Equality
 from repro.workloads.equijoin import fk_pk_workload
 
-# Theorem 4.1 is linear; a slope above this bound means some step of
-# solve(g, "auto") grows faster than the edge count.
-MAX_SLOPE = 1.25
-# The same claim from relations to scheme, on the instruction count,
-# which does not depend on the host.
+# Theorem 4.1 is linear; an instruction-count slope above this bound means
+# some step of solve(g, "auto"), or of relations -> scheme, grows faster
+# than the edge count.  The count does not depend on the host.
 MAX_COUNT_SLOPE = 1.10
 
 
@@ -34,26 +32,34 @@ def test_equijoin_perfect_table(emit):
 
 def test_linear_time_series(emit):
     """``solve(g, "auto")`` on 2×3 bicliques, m = 2.4k to 38.4k: the whole
-    front door (component split, equijoin test, snake tours, validation),
-    best of 3 CPU-time runs per size."""
+    front door (component split, equijoin test, snake tours, validation,
+    cost walk).  The gate is on the slope of the instruction counts; the
+    CPU slope (best of 3 runs per size) is reported beside it, since on a
+    shared 2-core host it read 1.03–1.30 with no code change."""
     block_counts = (400, 800, 1600, 3200, 6400)
     graphs = {b: union_of_bicliques([(2, 3)] * b) for b in block_counts}
-    points = [
-        (g.num_edges, best_cpu_seconds(lambda: solve(g, "auto")))
-        for g in graphs.values()
-    ]
-    slope = loglog_slope(*zip(*points))
+    ms = [g.num_edges for g in graphs.values()]
+    seconds = [best_cpu_seconds(lambda: solve(g, "auto")) for g in graphs.values()]
+    instructions = [opcode_count(solve, g, "auto") for g in graphs.values()]
+    slope = loglog_slope(ms, seconds)
+    count_slope = loglog_slope(ms, instructions)
     table = Table(
-        ["blocks", "m", "cpu_seconds", "us_per_edge"],
+        ["blocks", "m", "cpu_seconds", "us_per_edge", "instr_per_edge"],
         title=(
             "E-T4.1: equijoin PEBBLE runtime scaling (linear time), "
-            f"log-log slope {slope:.2f} (bound {MAX_SLOPE})"
+            f"log-log slope {slope:.2f} (report only), "
+            f"instruction-count slope {count_slope:.4f} "
+            f"(bound {MAX_COUNT_SLOPE:.2f})"
         ),
     )
-    for b, (m, seconds) in zip(block_counts, points):
-        table.add_row([b, m, round(seconds, 4), round(1e6 * seconds / m, 2)])
+    for b, m, cpu, count in zip(block_counts, ms, seconds, instructions):
+        table.add_row(
+            [b, m, round(cpu, 4), round(1e6 * cpu / m, 2), round(count / m, 1)]
+        )
     emit("E-T4.1_linear_time", table)
-    assert slope <= MAX_SLOPE, f"E-T4.1 slope {slope:.2f} > {MAX_SLOPE}"
+    assert count_slope <= MAX_COUNT_SLOPE, (
+        f"E-T4.1 instruction-count slope {count_slope:.4f} > {MAX_COUNT_SLOPE}"
+    )
 
 
 def relations_to_scheme(left, right):

@@ -4,10 +4,11 @@ Not a benchmark (pytest collects only ``bench_*.py``).  It splits the work
 the E-T3.1 slope gate times into its steps, so a slope above the gate's
 bound can be traced to a step: each step's per-edge cost and its own
 log-log slope, best of ``--rounds`` CPU-time runs, round-robin over the
-sizes.  ``tour`` is ``component_tour_dfs``: the repr sort of ``edges()``
-(also shown alone), the peel and the chunk reordering; ``total`` sums the
-steps ``solve(g, "dfs")`` runs: the split, the tour, the registry's one
-scheme build (which validates it) and the cost walk.  The last row is a
+sizes.  ``table`` interns the component's repr-sorted ``edges()`` once
+(``parts.tables``); ``tour`` is ``component_tour_ids``: the peel and the
+chunk reordering on that table; ``total`` sums the steps ``solve(g,
+"dfs")`` runs: the split, the table, the tour, the registry's one scheme
+build (which validates it) and the cost walk.  The last row is a
 control: a loop of integer additions, ``m`` times a constant, which
 touches no per-edge object, timed the same way.
 
@@ -27,12 +28,12 @@ import time
 from scaling import loglog_slope
 
 from repro.core.scheme import PebblingScheme
-from repro.core.solvers.dfs_approx import component_tour_dfs
+from repro.core.solvers.dfs_approx import component_tour_ids
 from repro.graphs.components import decompose
 from repro.graphs.generators import random_connected_bipartite
 
 SIZES = (500, 1000, 2000, 4000, 8000)
-STEPS = ("decompose", "edges", "tour", "from_edge_order", "cost+jumps", "total")
+STEPS = ("decompose", "table", "tour", "from_edge_order", "cost+jumps", "total")
 
 
 def _timed_steps(graph) -> dict[str, float]:
@@ -41,21 +42,20 @@ def _timed_steps(graph) -> dict[str, float]:
     mark = clock()
     parts = decompose(graph)
     times["decompose"] = clock() - mark
-    (component,) = parts.components
     mark = clock()
-    component.edges()
-    times["edges"] = clock() - mark
+    (table,) = parts.tables
+    times["table"] = clock() - mark
     mark = clock()
-    tour, _ = component_tour_dfs(component)
+    tour, _ = component_tour_ids(table)
     times["tour"] = clock() - mark
     mark = clock()
-    scheme = PebblingScheme.from_edge_order(parts.graph, tour)
+    scheme = PebblingScheme.from_edge_order(parts, parts.edge_ids([tour]))
     times["from_edge_order"] = clock() - mark
     mark = clock()
     scheme.cost()
     scheme.jumps()
     times["cost+jumps"] = clock() - mark
-    times["total"] = sum(times.values()) - times["edges"]
+    times["total"] = sum(times.values())
     return times
 
 

@@ -307,22 +307,23 @@ def solve_exact(
     the DFS approximation instead.
     """
     parts = decompose(graph)
-    tours: list[list] = []
+    tours: list[list[int]] = []
     total_nodes = 0
     with obs_trace.span("solver.exact"):
-        for component in parts.components:
+        for component, table in zip(parts.components, parts.tables):
             with obs_trace.span(
                 "solver.exact.component", m=component.num_edges
             ):
                 tour, nodes = optimal_component_tour(
                     component, node_budget, budget=budget
                 )
-            tours.append(tour)
+            # The tour's edges are the table's pairs, in its orientation.
+            local = dict(zip(table.pairs(), range(len(table))))
+            tours.append([local[edge] for edge in tour])
             total_nodes += nodes
     if obs_recorder.ON:
         obs_metrics.inc("solver.exact.solves")
-    flat = [edge for tour in tours for edge in tour]
-    scheme = PebblingScheme.from_edge_order(parts.graph, flat)
+    scheme = PebblingScheme.from_edge_order(parts, parts.edge_ids(tours))
     effective_cost = scheme.cost() - parts.betti
     from repro.core.lower_bounds import effective_cost_lower_bound
 

@@ -14,7 +14,7 @@ import heapq
 
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.components import Decomposition, decompose
-from repro.graphs.line_graph import intern_edges
+from repro.graphs.line_graph import EdgeTable
 from repro.graphs.simple import Graph
 from repro.runtime.budget import Budget
 
@@ -22,25 +22,33 @@ AnyGraph = Graph | BipartiteGraph
 
 
 def component_tour_greedy(component: AnyGraph) -> list:
-    """Greedy tour of one connected component's line graph, which is
-    never built.
+    """Greedy tour of one connected component's line graph, as its
+    edges."""
+    table = EdgeTable.intern(component.edges())
+    return table.pairs(component_tour_ids(table))
 
-    ``edges()`` is sorted by ``repr``, so an edge's index is its repr rank,
-    and :func:`intern_edges` lists each vertex's edges.  An unvisited edge
-    ``(u, v)`` has ``rem(u) + rem(v) − 2`` unvisited neighbours in
-    ``L(G)``, where ``rem(x)`` counts the unvisited edges at ``x``.  The
-    next node is the current one's unvisited neighbour with the
-    least (remaining degree, rank); when there is none, the tour restarts
-    at the least unvisited node overall, popped from a heap that gets a
-    fresh entry whenever a visit lowers a degree.  Degrees only fall, so an
-    unvisited node's newest entry is its least and pops before its stale
-    ones: the first unvisited node popped is the one to restart at.
+
+def component_tour_ids(table: EdgeTable) -> list[int]:
+    """Greedy tour of one connected component's line graph, which is
+    never built, as edge ids of the component's table.
+
+    Ties go to the least id, which for a table built from ``edges()``
+    (sorted by ``repr``) is the repr rank; the table lists each vertex's
+    edges.  An unvisited edge ``(u, v)`` has ``rem(u) + rem(v) − 2``
+    unvisited neighbours in ``L(G)``, where ``rem(x)`` counts the
+    unvisited edges at ``x``.  The next node is the current one's
+    unvisited neighbour with the least (remaining degree, rank); when
+    there is none, the tour restarts at the least unvisited node overall,
+    popped from a heap that gets a fresh entry whenever a visit lowers a
+    degree.  Degrees only fall, so an unvisited node's newest entry is its
+    least and pops before its stale ones: the first unvisited node popped
+    is the one to restart at.
     Each visit touches the edges at its two endpoints, so a component
     costs ``O(Σ deg(x)² · log m)``: the size of ``L(G)``, not linear.
     """
-    edges = component.edges()
-    m = len(edges)
-    tail, head, incidence = intern_edges(edges)
+    m = len(table)
+    tail, head = table.tail, table.head
+    incidence = table.incidence()
     remaining = [len(incident) for incident in incidence]
     visited = bytearray(m)
 
@@ -72,21 +80,22 @@ def component_tour_greedy(component: AnyGraph) -> list:
             for i in incidence[a]:
                 if not visited[i]:
                     heapq.heappush(restarts, (degree(i), i))
-    return [edges[i] for i in tour]
+    return tour
 
 
 def solve_greedy(
     graph: AnyGraph | Decomposition, budget: Budget | None = None
-) -> list[list]:
+) -> list[list[int]]:
     """Greedy tours over every component of ``graph``: one tour per
-    component, in component order.
+    component, in component order, each of ids of the component's edge
+    table (:attr:`Decomposition.tables`).
 
     It always runs to completion: a ``budget`` is polled per component for
     accounting but never stops the solve.
     """
-    tours: list[list] = []
-    for component in decompose(graph).components:
+    tours: list[list[int]] = []
+    for table in decompose(graph).tables:
         if budget is not None:
-            budget.poll(max(1, component.num_edges))
-        tours.append(component_tour_greedy(component))
+            budget.poll(max(1, len(table)))
+        tours.append(component_tour_ids(table))
     return tours

@@ -175,7 +175,7 @@ def _wrap(
 
 
 def _max_component_edges(graph: AnyGraph | Decomposition) -> int:
-    return max((c.num_edges for c in decompose(graph).components), default=0)
+    return max(decompose(graph).edge_counts, default=0)
 
 
 # The settings solve() takes besides the graph and the method.  The first
@@ -254,10 +254,8 @@ def _approximate(
     construct = solve_greedy if method.startswith("greedy") else solve_dfs_approx
     tours = construct(parts, budget=None if forced_status else budget)
     if method.endswith("+polish"):
-        tours = polish_scheme(tours, budget=budget).tours
-    scheme = PebblingScheme.from_edge_order(
-        parts.graph, [edge for tour in tours for edge in tour]
-    )
+        tours = polish_scheme(parts.tables, tours, budget=budget).tours
+    scheme = PebblingScheme.from_edge_order(parts, parts.edge_ids(tours))
     return _wrap(parts, scheme, method, optimal=False, budget=budget,
                  degradations=degradations, forced_status=forced_status)
 

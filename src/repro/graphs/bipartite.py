@@ -13,6 +13,8 @@ to tuples of ``S``.  The two sides must be disjoint label sets.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from itertools import repeat
+from operator import contains
 from typing import Any
 
 from repro.errors import EdgeError, GraphError, VertexError
@@ -22,6 +24,8 @@ JoinEdge = tuple[Any, Any]
 
 Block = tuple[tuple[Vertex, ...], tuple[Vertex, ...]]
 """One complete bipartite component: its left and its right vertices."""
+
+_NONE: frozenset = frozenset()  # the neighbours of a vertex not in the graph
 
 
 class BipartiteGraph:
@@ -209,6 +213,13 @@ class BipartiteGraph:
         if u in self._right:
             return v in self._right[u]
         return False
+
+    def has_edges(self, us: Iterable[Vertex], vs: Iterable[Vertex]) -> bool:
+        """True iff every pair ``(us[i], vs[i])`` is an edge, in either
+        orientation: :meth:`has_edge` over many pairs, without a Python
+        call per pair."""
+        nbrs = {**self._left, **self._right}
+        return all(map(contains, map(nbrs.get, us, repeat(_NONE)), vs))
 
     def _stored_neighbors(self, vertex: Vertex) -> set[Vertex]:
         nbrs = self._left.get(vertex, self._right.get(vertex))

@@ -13,6 +13,8 @@ setting (a join graph never needs either).
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Iterator
+from itertools import repeat
+from operator import contains
 from typing import Any
 
 from repro.errors import EdgeError, GraphError, VertexError
@@ -136,6 +138,13 @@ class Graph:
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
         return u in self._adjacency and v in self._adjacency[u]
+
+    def has_edges(self, us: Iterable[Vertex], vs: Iterable[Vertex]) -> bool:
+        """True iff every pair ``(us[i], vs[i])`` is an edge:
+        :meth:`has_edge` over many pairs, without a Python call per pair."""
+        return all(
+            map(contains, map(self._adjacency.get, us, repeat(frozenset())), vs)
+        )
 
     def neighbors(self, vertex: Vertex) -> set[Vertex]:
         """The (copied) neighbor set of ``vertex``."""

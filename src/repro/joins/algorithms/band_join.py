@@ -12,10 +12,21 @@ pair shares the right tuple with the previous pair; otherwise it emits
 ``lo … hi−1`` ascending.  With ``width = 0`` the windows are the key
 groups and the order is exactly sort-merge's boustrophedon (Lemma 3.2),
 so the band merge pebbles an equijoin perfectly (``π = m``).
+
+The windows need ``|r − s| ≤ width`` to be monotone in ``s`` along the
+sorted right side.  It is when every value and the width is an int
+(exact arithmetic), or a float or an int of magnitude at most 2**52 (every
+difference is then the rounded exact one).  An int beyond that meeting a
+float breaks it: ``2**53 + 3 − 0`` is exact, ``2**53 + 3 − 0.5`` rounds up
+to ``2**53 + 4``, ``2**53 + 3 − 1`` is exact again.  Such inputs, and
+numeric types other than int and float, are joined by testing every pair
+with :meth:`Band.matches` instead, each left tuple emitting its matches in
+sorted order.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import itemgetter
 
 from repro.joins.predicates import Band
@@ -32,6 +43,14 @@ def band_merge_join(
     right_sorted = sorted(right.items(), key=itemgetter(1))
     right_refs = [ref for ref, _ in right_sorted]
     right_values = [value for _, value in right_sorted]
+    if not _monotone(chain(map(itemgetter(1), left_sorted), right_values), width):
+        matches = Band(width).matches
+        return [
+            (l_ref, r_ref)
+            for l_ref, value in left_sorted
+            for r_ref, other in right_sorted
+            if matches(value, other)
+        ]
     n = len(right_values)
     out: list[tuple[TupleRef, TupleRef]] = []
     lo = hi = 0
@@ -58,3 +77,21 @@ def band_merge_join(
             out += [(l_ref, r_ref) for r_ref in right_refs[lo:hi]]
             last = hi - 1
     return out
+
+
+# Ints up to this magnitude differ by at most 2**53, which a float holds.
+_EXACT_INT = 2**52
+
+
+def _monotone(values, width) -> bool:
+    """True when the band test is monotone along sorted ``values`` (see
+    the module docstring)."""
+    values = [*values, width]
+    kinds = set(map(type, values))
+    if kinds <= {int}:
+        return True
+    if not kinds <= {int, float}:
+        return False
+    return all(
+        -_EXACT_INT <= v <= _EXACT_INT for v in values if type(v) is int
+    )

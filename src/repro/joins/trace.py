@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from repro.errors import SchemeError
 from repro.graphs.bipartite import BipartiteGraph
-from repro.graphs.components import betti_number, decompose
+from repro.graphs.components import decompose
 from repro.obs import metrics as obs_metrics
 from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
@@ -35,7 +35,8 @@ def scheme_from_output(
     The output must contain every join-graph edge exactly once (all join
     algorithms in :mod:`repro.joins.algorithms` satisfy this; a buggy one
     raises :class:`~repro.errors.SchemeError` here, which the failure-
-    injection tests rely on).
+    injection tests rely on).  The pairs are interned once into the
+    scheme's edge table, in the orientation they were emitted in.
     """
     return PebblingScheme.from_edge_order(graph, output)
 
@@ -95,11 +96,6 @@ def trace_report(
         lower_bound=lower,
         upper_bound=upper,
     )
-
-
-def beta0(graph: BipartiteGraph) -> int:
-    """Convenience re-export of the Betti number for report code."""
-    return betti_number(graph)
 
 
 @dataclass(frozen=True)
@@ -187,7 +183,8 @@ def multiway_trace_report(
     report = trace_report(graph, pairs, algorithm)
     return MultiwayTraceReport(
         report=report,
-        beta0=beta0(graph),
+        # π = π̂ − β₀ (Def 2.2): the report's split already counted it.
+        beta0=report.raw_cost - report.effective_cost,
         left_atom=left.name,
         right_atom=right.name,
         projected_pairs=len(pairs),

@@ -133,12 +133,14 @@ def assemble_components(
 ) -> SolveResult:
     """Stitch per-component results back into one graph-level result.
 
-    Component schemes concatenate in canonical component order; the
-    transition between two components always moves both pebbles, so the
-    stitched raw cost is exactly the sum of component raw costs and the
-    effective cost is the sum of component effective costs (Lemma 2.2) —
-    both recomputed from the stitched scheme rather than trusted (one
-    result per component, so ``β₀`` is their count).
+    Component schemes are stitched once, in canonical component order
+    (:meth:`PebblingScheme.join`: their edge tables joined and id
+    sequences shifted, in one pass over the edges); the transition between
+    two components always moves both pebbles, so the stitched raw cost is
+    exactly the sum of component raw costs and the effective cost is the
+    sum of component effective costs (Lemma 2.2) — both recomputed from
+    the stitched scheme rather than trusted (one result per component, so
+    ``β₀`` is their count).
     """
     if not component_results:
         empty = PebblingScheme(())
@@ -153,9 +155,7 @@ def assemble_components(
         )
     if len(component_results) == 1:
         return component_results[0]
-    scheme = component_results[0].scheme
-    for part in component_results[1:]:
-        scheme = scheme.concat(part.scheme)
+    scheme = PebblingScheme.join([r.scheme for r in component_results])
     methods = {r.method for r in component_results}
     merged_method = methods.pop() if len(methods) == 1 else method
     status = _merge_status([r.status for r in component_results])

@@ -16,6 +16,7 @@ from repro.core.solvers.greedy import solve_greedy
 from repro.core.solvers.local_search import improve_tour, polish_scheme
 from repro.core.solvers.registry import solve
 from repro.core.tsp import tour_cost
+from repro.graphs.components import decompose
 
 
 class TestGreedy:
@@ -60,7 +61,7 @@ class TestLocalSearch:
             polished = solve(g, "greedy+polish")
             polished.scheme.validate(g)
             assert polished.effective_cost <= base.effective_cost
-            improvement = polish_scheme(solve_greedy(g)).improvement
+            improvement = polish_scheme(decompose(g).tables, solve_greedy(g)).improvement
             assert improvement == base.jumps - polished.jumps >= 0
 
     def test_polish_reaches_optimum_on_easy_graph(self):

@@ -19,7 +19,7 @@ from repro.graphs.generators import (
     random_connected_bipartite,
     random_tsp12_graph,
 )
-from repro.graphs.line_graph import line_graph
+from repro.graphs.line_graph import EdgeTable, line_graph
 from repro.graphs.simple import Graph
 from repro.graphs.traversal import dfs_tree
 from repro.runtime.budget import Budget
@@ -173,7 +173,8 @@ def test_peel_chunks_match_depth_walk_reference(graph):
         root = min(line.vertices, key=repr)
         expected = reference.peel_chunks(dfs_tree(line, root), line)
         edges = component.edges()
-        chunks = [[edges[i] for i in chunk] for chunk in dfs_approx._peel(edges)]
+        table = EdgeTable.intern(edges)
+        chunks = [[edges[i] for i in chunk] for chunk in dfs_approx._peel(table)]
         assert chunks == expected
 
 
@@ -242,8 +243,10 @@ def test_tripped_budget_leaves_polish_input_unchanged():
     tripped = Budget(node_budget=1)
     tripped.poll(2)
     assert tripped.exhausted
-    result = local_search.polish_scheme([edges], budget=tripped)
-    assert result.tours == [edges]
+    tables = [EdgeTable.intern(edges)]
+    tour = list(range(len(edges)))
+    result = local_search.polish_scheme(tables, [tour], budget=tripped)
+    assert result.tours == [tour]
     assert result.improvement == 0
     # Without the budget the same input does get polished.
-    assert local_search.polish_scheme([edges]).improvement > 0
+    assert local_search.polish_scheme(tables, [tour]).improvement > 0

@@ -18,17 +18,27 @@ from repro.relations.relation import Relation, TupleRef
 
 # Integers, halves and decimal fractions put many differences exactly on
 # the window edge (a - b == width) or one rounding step either side of it.
+# Ints near 2**53 and 2**54 do not all convert to float exactly, and their
+# differences with floats round: there the band test is not monotone.
+BIG = 2**53
+big_ints = st.one_of(
+    st.integers(BIG - 4, BIG + 8),
+    st.integers(2 * BIG - 4, 2 * BIG + 8),
+    st.integers(-BIG - 8, -BIG + 4),
+)
 band_values = st.one_of(
     st.integers(-8, 8),
     st.integers(-16, 16).map(lambda k: k / 2),
     st.sampled_from([0.1, 0.2, 0.3, 0.7, -0.1, -0.3, 1.1, 2.2]),
     st.floats(-10, 10, allow_nan=False, allow_infinity=False),
+    big_ints,
 )
 band_widths = st.one_of(
     st.just(0),
     st.integers(0, 3),
     st.sampled_from([0.0, 0.1, 0.2, 0.5, 1.5]),
     st.floats(0, 4, allow_nan=False),
+    big_ints.map(abs),
 )
 
 
@@ -44,6 +54,29 @@ def test_same_pairs_as_block_nested_loops_each_once(left_values, right_values, w
     reference = block_nested_loops(left, right, Band(width))
     assert Counter(merged) == Counter(reference)
     assert len(set(merged)) == len(merged)
+
+
+@pytest.mark.parametrize("accelerate", [True, False])
+def test_int_beyond_float_precision_meets_floats(accelerate):
+    # abs(2**53 + 3 - 0.5) rounds up to 2**53 + 4, past the width, while
+    # the int differences with 0 and 1 are exact: S[1] is not a match.
+    left = Relation("R", [BIG + 3])
+    right = Relation("S", [0, 0.5, 1])
+    width = BIG + 3
+    expected = [(TupleRef("R", 0), TupleRef("S", 0)), (TupleRef("R", 0), TupleRef("S", 2))]
+    assert block_nested_loops(left, right, Band(width)) == expected
+    assert band_merge_join(left, right, width) == expected
+    graph = build_join_graph(left, right, Band(width), accelerate=accelerate)
+    assert sorted(graph.edges()) == expected
+
+
+def test_exactly_representable_ints_with_floats_still_merge():
+    # Every difference of these values is the rounded exact one, so the
+    # windows hold and the order is the snake, not the pairwise fallback.
+    left = Relation("R", [0.5, 0.5, 2**52])
+    right = Relation("S", [0, 1.0, 2**52])
+    pairs = band_merge_join(left, right, 1)
+    assert [r.ordinal for _, r in pairs] == [0, 1, 1, 0, 2]
 
 
 def _refs(name, ordinals):

@@ -19,6 +19,8 @@ from repro.joins.multiway import (
     leapfrog_triejoin,
     naive_multiway,
 )
+from repro.graphs.components import betti_number
+from repro.joins import trace as trace_module
 from repro.joins.trace import multiway_trace_report
 from repro.runtime.budget import Budget
 
@@ -231,6 +233,31 @@ class TestTraceBridge:
             TINY, result.bindings, "lftj", atom_pair=(1, 2)
         )
         assert (report.left_atom, report.right_atom) == ("S", "T")
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            TINY,
+            triangle([(1, 2), (3, 4), (5, 6)], [(2, 7), (4, 7), (6, 8)], [(7, 1), (7, 3), (8, 5)]),
+            triangle([], [(1, 2)], [(2, 1)]),
+        ],
+        ids=["tiny", "two-components", "empty"],
+    )
+    def test_beta0_is_the_projected_graphs_betti_number(self, query, monkeypatch):
+        # beta0 is read off the report (raw − effective cost); a second
+        # split of the projected graph must count the same components.
+        projected = []
+        original = trace_module.trace_report
+
+        def capture(graph, pairs, algorithm):
+            projected.append(graph)
+            return original(graph, pairs, algorithm)
+
+        monkeypatch.setattr(trace_module, "trace_report", capture)
+        result = leapfrog_triejoin(query)
+        report = multiway_trace_report(query, result.bindings, "lftj")
+        (graph,) = projected
+        assert report.beta0 == betti_number(graph)
 
     def test_empty_output_reports_cleanly(self):
         q = triangle([], [(1, 2)], [(2, 1)])

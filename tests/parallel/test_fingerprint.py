@@ -6,11 +6,13 @@ from repro.core.families import worst_case_family
 from repro.core.scheme import PebblingScheme
 from repro.core.solvers.registry import solve
 from repro.errors import SchemeError
-from repro.graphs.bipartite import from_edges
+from repro.graphs.bipartite import BipartiteGraph, from_edges
 from repro.graphs.generators import (
     complete_bipartite,
     path_graph,
+    random_bipartite_gnm,
     random_connected_bipartite,
+    union_of_bicliques,
 )
 from repro.parallel.fingerprint import (
     canonical_form,
@@ -39,6 +41,26 @@ class TestCanonicalForm:
         for u, v in form.edges:
             assert 0 <= u < form.left_size
             assert form.left_size <= v < len(form.vertices)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            complete_bipartite(3, 4),
+            union_of_bicliques([(2, 3), (1, 1)]),
+            random_bipartite_gnm(5, 6, 14, seed=4),
+            BipartiteGraph(left=["a", "b"], right=["x"], edges=[("a", "x")]),
+            BipartiteGraph(left=["a"], right=["x", "y"]),
+        ],
+        ids=["biclique", "two-blocks", "random", "isolated", "edgeless"],
+    )
+    def test_edges_are_the_sorted_index_pairs_of_edges(self, graph):
+        # The definition: every edge as an index pair, sorted (the form
+        # reads the adjacency, or a biclique's pairs in order, instead).
+        form = canonical_form(graph)
+        index = {v: i for i, v in enumerate(form.vertices)}
+        assert form.edges == tuple(
+            sorted((index[u], index[v]) for u, v in graph.edges())
+        )
 
     def test_relabeling_preserves_fingerprint(self):
         # Same structure, different labels — but same repr-sort order.
