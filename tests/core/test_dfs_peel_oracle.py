@@ -147,7 +147,8 @@ def path_lists(draw):
 @given(path_lists())
 def test_reorder_paths_greedily_matches_reference(paths):
     before = [list(p) for p in paths]
-    assert reorder_paths_greedily(paths) == reference.reorder_paths_greedily(paths)
+    ordered = reorder_paths_greedily(paths, lambda edge: edge)
+    assert ordered == reference.reorder_paths_greedily(paths)
     assert paths == before
 
 

@@ -23,6 +23,11 @@ from repro.core.tsp import (
 )
 
 
+def _itself(edge):
+    """Path nodes that are edges are their own ends."""
+    return edge
+
+
 class TestCost:
     def test_empty_tour(self):
         assert tour_cost([]) == 0
@@ -107,17 +112,17 @@ class TestPathPartitions:
         p1 = [("a", "b")]
         p2 = [("c", "d")]
         p3 = [("b", "c")]
-        ordered = reorder_paths_greedily([p1, p2, p3])
+        ordered = reorder_paths_greedily([p1, p2, p3], _itself)
         tour = tour_from_paths(ordered)
         assert tour_jumps(tour) <= 1  # naive order has 2 jumps
 
     def test_reorder_never_loses_elements(self):
         paths = [[("a", "b")], [("x", "y")], [("b", "c")]]
-        ordered = reorder_paths_greedily(paths)
+        ordered = reorder_paths_greedily(paths, _itself)
         flat = [e for p in ordered for e in p]
         assert sorted(map(repr, flat)) == sorted(
             map(repr, [e for p in paths for e in p])
         )
 
     def test_reorder_empty(self):
-        assert reorder_paths_greedily([]) == []
+        assert reorder_paths_greedily([], _itself) == []

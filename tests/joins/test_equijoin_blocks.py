@@ -5,7 +5,8 @@
 ``decompose`` and the equijoin solver skip the component search.  The
 graph's unhinted ``copy()`` takes the search, and is the oracle: both must
 give the same components in the same vertex order, the same bounds and
-Betti numbers, and the same ``auto`` answer.  Any mutation drops the hint.
+Betti numbers, and the same answer from every method.  Any mutation drops
+the hint.
 """
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.core.costs import effective_cost_bounds, raw_cost_bounds
 from repro.core.solvers.equijoin import is_union_of_bicliques, solve_equijoin
-from repro.core.solvers.registry import solve
+from repro.core.solvers.registry import METHODS, solve
 from repro.errors import GraphError, PredicateError, SolverError
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.components import betti_number, decompose, is_connected
@@ -38,8 +39,8 @@ def _split(graph):
     )
 
 
-def _answer(graph):
-    result = solve(graph, "auto")
+def _answer(graph, method="auto"):
+    result = solve(graph, method)
     return (
         result.method,
         result.effective_cost,
@@ -76,6 +77,7 @@ def _join(left_values, right_values):
 @example([], [])  # empty relations
 @example([1, 2.0, 3], [1.0, 2, 2])  # 1 == 1.0
 @example([4, 4, 4], [4, 4])  # one block, no isolated vertex
+@example([3, 5, 3, 3, 0], [3, 5, 5, 0, 3, 4, 3, 1, 3])  # dfs ties decide π
 def test_hinted_split_matches_search(left_values, right_values):
     graph = _join(left_values, right_values)
     oracle = graph.copy()
@@ -83,7 +85,11 @@ def test_hinted_split_matches_search(left_values, right_values):
     assert oracle.biclique_blocks() is None
     assert _split(graph) == _split(oracle)
     assert _summary(graph) == _summary(oracle)
-    assert _answer(graph) == _answer(oracle)
+    # The approximate solvers break ties by local edge id, so both splits
+    # must intern their components alike.
+    for method in METHODS:
+        if method != "exact" or graph.num_edges <= 10:
+            assert _answer(graph, method) == _answer(oracle, method)
     assert is_union_of_bicliques(graph)
     assert solve_equijoin(graph) == solve_equijoin(oracle)
     if graph.num_edges:
