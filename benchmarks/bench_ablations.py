@@ -24,8 +24,8 @@ from repro.workloads.spatial import uniform_rectangles_workload
 def test_ablation_biclique_fast_path(emit):
     """The closed-form biclique answer vs raw search on the same input."""
     from repro.graphs.generators import complete_bipartite
-    from repro.graphs.line_graph import line_graph
-    from repro.core.solvers.exact import _PathPartitionSearch
+    from repro.graphs.line_graph import EdgeTable
+    from repro.core.solvers.exact import _PathPartitionSearch, line_masks
 
     table = Table(
         ["k x l", "m", "fast_path_s", "raw_search_s"],
@@ -33,12 +33,12 @@ def test_ablation_biclique_fast_path(emit):
     )
     for k, l in ((3, 3), (4, 4), (4, 5)):
         g = complete_bipartite(k, l)
+        edges = EdgeTable.intern(g.edges())
         start = time.perf_counter()
-        optimal_component_tour(g)
+        optimal_component_tour(g, edges)
         fast = time.perf_counter() - start
-        line = line_graph(g)
         start = time.perf_counter()
-        search = _PathPartitionSearch(line, node_budget=5_000_000)
+        search = _PathPartitionSearch(line_masks(edges), node_budget=5_000_000)
         search.solve(1)
         raw = time.perf_counter() - start
         table.add_row([f"{k}x{l}", g.num_edges, round(fast, 5), round(raw, 5)])

@@ -147,6 +147,9 @@ class PebblingScheme:
                 _reject_ids(table, ids)
             return cls._of(table, ids)
         pairs = tuple(map(tuple, edges))
+        if set(map(len, pairs)) - {2}:
+            entry = next(pair for pair in pairs if len(pair) != 2)
+            raise SchemeError(f"{entry!r} is not an edge of the graph")
         firsts = list(map(itemgetter(0), pairs))
         seconds = list(map(itemgetter(1), pairs))
         if not graph.has_edges(firsts, seconds):
@@ -227,9 +230,7 @@ class PebblingScheme:
         """Raise :class:`~repro.errors.SchemeError` unless the scheme is a
         valid pebbling of ``graph`` — i.e. references only existing vertices
         and deletes every edge."""
-        has_vertex = (
-            graph.has_vertex if isinstance(graph, BipartiteGraph) else graph.has_vertex
-        )
+        has_vertex = graph.has_vertex
         for a, b in self.configurations:
             if not has_vertex(a) or not has_vertex(b):
                 raise SchemeError(f"configuration ({a!r}, {b!r}) is off the graph")

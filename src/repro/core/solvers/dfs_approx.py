@@ -262,18 +262,8 @@ def _peel(table: EdgeTable) -> list[list[int]]:
     return chunks
 
 
-def component_tour_dfs(component: AnyGraph) -> tuple[list, int]:
-    """A 1.25-approximate tour for one connected component, as its edges.
-
-    Returns ``(tour, chunk_count)``.
-    """
-    table = EdgeTable.intern(component.edges())
-    ids, chunks = component_tour_ids(table)
-    return table.pairs(ids), chunks
-
-
 def component_tour_ids(table: EdgeTable) -> tuple[list[int], int]:
-    """:func:`component_tour_dfs` on one connected component's edge
+    """A 1.25-approximate tour for one connected component, from its edge
     table: ``(tour of edge ids, chunk_count)``."""
     if not len(table):
         return [], 0

@@ -29,8 +29,9 @@ from itertools import permutations
 from repro.errors import InstanceTooLargeError
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.components import Decomposition, betti_number, decompose
-from repro.graphs.line_graph import line_graph
+from repro.graphs.line_graph import EdgeTable
 from repro.graphs.simple import Graph
+from repro.core.lower_bounds import effective_cost_lower_bound
 from repro.core.scheme import PebblingScheme
 from repro.core.solvers.equijoin import biclique_tour
 from repro.core.tsp import tour_cost, tour_from_paths
@@ -64,10 +65,26 @@ class ExactResult:
     deficiency_tight: bool = False
 
 
+def line_masks(table: EdgeTable) -> list[int]:
+    """``L(G)`` as adjacency bitmasks, one per edge id of ``table``: bit
+    ``j`` of mask ``i`` is set iff edges ``i`` and ``j`` share an endpoint.
+    Read off the table's incidence lists; ``L(G)`` is never built."""
+    at = []
+    for incident in table.incidence():
+        bits = 0
+        for i in incident:
+            bits |= 1 << i
+        at.append(bits)
+    # Edge i is at both its ends: the union holds its own bit, once.
+    return [(at[a] | at[b]) ^ (1 << i) for i, (a, b) in enumerate(table.ends())]
+
+
 class _PathPartitionSearch:
     """Branch-and-bound search for a partition of a graph into ≤ p paths.
 
-    Nodes are compiled to indices with adjacency bitmasks.  Paths are built
+    The graph is given as adjacency bitmasks over node indices
+    ``0 … n−1`` (``adjacency[i]`` has bit ``j`` set iff ``i ~ j``), and
+    ties go to the smaller index.  Paths are built
     one at a time; each new path is seeded at the smallest unvisited index
     and grown in two phases (first from the tail, then — after the tail is
     sealed — from the head), which keeps the search complete while avoiding
@@ -79,19 +96,13 @@ class _PathPartitionSearch:
 
     def __init__(
         self,
-        line: Graph,
+        adjacency: list[int],
         node_budget: int,
         use_ordering: bool = True,
         budget: Budget | None = None,
     ) -> None:
-        self.order = sorted(line.vertices, key=repr)
-        self.index = {v: i for i, v in enumerate(self.order)}
-        self.n = len(self.order)
-        self.adjacency = [0] * self.n
-        for u, v in line.edges():
-            iu, iv = self.index[u], self.index[v]
-            self.adjacency[iu] |= 1 << iv
-            self.adjacency[iv] |= 1 << iu
+        self.adjacency = adjacency
+        self.n = len(adjacency)
         self.node_budget = node_budget
         self.budget = budget
         self.nodes_expanded = 0
@@ -252,44 +263,54 @@ class _PathPartitionSearch:
 
 
 def minimum_path_partition(
-    line: Graph,
+    graph: Graph,
     node_budget: int = DEFAULT_NODE_BUDGET,
     budget: Budget | None = None,
 ) -> list[list]:
-    """A minimum partition of the nodes of ``line`` into vertex-disjoint
+    """A minimum partition of the nodes of ``graph`` into vertex-disjoint
     paths (each path given as a node list, consecutive nodes adjacent).
 
-    Iterative deepening from the deficiency lower bound guarantees
-    optimality of the first partition found.
+    Nodes are searched in ``repr`` order.  Iterative deepening from the
+    deficiency lower bound guarantees optimality of the first partition
+    found.
     """
-    search = _PathPartitionSearch(line, node_budget, budget=budget)
+    order = sorted(graph.vertices, key=repr)
+    index = dict(zip(order, range(len(order))))
+    adjacency = [0] * len(order)
+    for u, v in graph.edges():
+        iu, iv = index[u], index[v]
+        adjacency[iu] |= 1 << iv
+        adjacency[iv] |= 1 << iu
+    search = _PathPartitionSearch(adjacency, node_budget, budget=budget)
     partition, _levels = search.minimum()
-    return [[search.order[i] for i in path] for path in partition]
+    return [[order[i] for i in path] for path in partition]
 
 
 def optimal_component_tour(
     component: AnyGraph,
+    table: EdgeTable,
     node_budget: int = DEFAULT_NODE_BUDGET,
     budget: Budget | None = None,
-) -> tuple[list, int]:
-    """An optimal edge tour for one connected component.
+) -> tuple[list[int], int]:
+    """An optimal edge tour for one connected component, as edge ids of
+    its table (:attr:`Decomposition.tables`).
 
-    Returns ``(tour, search_nodes)``.  Complete bipartite components are
-    answered in closed form (boustrophedon, Lemma 3.2) without any search.
+    Returns ``(tour, search_nodes)``.  The search runs on the table's
+    :func:`line_masks`, so search index ``i`` is edge id ``i``.  Complete
+    bipartite components are answered in closed form (boustrophedon,
+    Lemma 3.2) without any search.
     """
     if isinstance(component, BipartiteGraph) and component.is_complete_bipartite():
-        return biclique_tour(component), 0
-    with obs_trace.span("solver.exact.line_graph"):
-        line = line_graph(component)
-    search = _PathPartitionSearch(line, node_budget, budget=budget)
+        local = dict(zip(table.pairs(), range(len(table))))
+        return [local[edge] for edge in biclique_tour(component)], 0
+    search = _PathPartitionSearch(line_masks(table), node_budget, budget=budget)
     partition, levels = search.minimum()
     if obs_recorder.ON:
         obs_metrics.inc("solver.exact.search_nodes", search.nodes_expanded)
         obs_metrics.inc("solver.exact.pruned_branches", search.pruned)
         obs_metrics.inc("solver.exact.bound_checks", search.bound_checks)
         obs_metrics.inc("solver.exact.deepening_levels", levels)
-    paths = [[search.order[i] for i in path] for path in partition]
-    return tour_from_paths(paths), search.nodes_expanded
+    return tour_from_paths(partition), search.nodes_expanded
 
 
 def solve_exact(
@@ -315,18 +336,14 @@ def solve_exact(
                 "solver.exact.component", m=component.num_edges
             ):
                 tour, nodes = optimal_component_tour(
-                    component, node_budget, budget=budget
+                    component, table, node_budget, budget=budget
                 )
-            # The tour's edges are the table's pairs, in its orientation.
-            local = dict(zip(table.pairs(), range(len(table))))
-            tours.append([local[edge] for edge in tour])
+            tours.append(tour)
             total_nodes += nodes
     if obs_recorder.ON:
         obs_metrics.inc("solver.exact.solves")
     scheme = PebblingScheme.from_edge_order(parts, parts.edge_ids(tours))
     effective_cost = scheme.cost() - parts.betti
-    from repro.core.lower_bounds import effective_cost_lower_bound
-
     return ExactResult(
         scheme=scheme,
         effective_cost=effective_cost,
@@ -349,9 +366,9 @@ def exact_search_effort(
     :class:`~repro.errors.InstanceTooLargeError` past the budget either
     way, so both arms stay bounded."""
     total = 0
-    for component in decompose(graph).components:
+    for table in decompose(graph).tables:
         search = _PathPartitionSearch(
-            line_graph(component), node_budget, use_ordering=use_ordering
+            line_masks(table), node_budget, use_ordering=use_ordering
         )
         search.minimum()
         total += search.nodes_expanded

@@ -21,13 +21,6 @@ from repro.runtime.budget import Budget
 AnyGraph = Graph | BipartiteGraph
 
 
-def component_tour_greedy(component: AnyGraph) -> list:
-    """Greedy tour of one connected component's line graph, as its
-    edges."""
-    table = EdgeTable.intern(component.edges())
-    return table.pairs(component_tour_ids(table))
-
-
 def component_tour_ids(table: EdgeTable) -> list[int]:
     """Greedy tour of one connected component's line graph, which is
     never built, as edge ids of the component's table.

@@ -219,21 +219,6 @@ def _local_optimum(
     return [edge_of[pair] for pair in working], removed
 
 
-def improve_tour(
-    tour: list, max_rounds: int = 10_000, budget: Budget | None = None
-) -> list:
-    """Run 2-opt and or-opt to a local optimum; returns the improved tour.
-
-    The input list of edges is not modified.  The tour's edges are
-    interned once (:meth:`EdgeTable.intern`), searched, and mapped back.
-    Anytime: the tour is valid between passes, so a tripped ``budget`` just
-    stops improving early.
-    """
-    table = EdgeTable.intern(tour)
-    ids = _local_optimum(table, list(range(len(tour))), max_rounds, budget)[0]
-    return table.pairs(ids)
-
-
 @dataclass(frozen=True)
 class PolishResult:
     """Polished per-component tours and the jumps polish removed."""

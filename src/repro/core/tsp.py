@@ -61,18 +61,9 @@ def tour_jumps(tour: Sequence[EdgeNode]) -> int:
 
 
 def validate_tour(graph: AnyGraph, tour: Sequence[EdgeNode]) -> None:
-    """Check that ``tour`` visits every edge of ``graph`` exactly once."""
-    expected = {frozenset(e) for e in graph.edges()}
-    seen: set[frozenset] = set()
-    for edge in tour:
-        key = frozenset(edge)
-        if key not in expected:
-            raise SchemeError(f"{edge!r} is not an edge of the graph")
-        if key in seen:
-            raise SchemeError(f"edge {edge!r} visited twice")
-        seen.add(key)
-    if seen != expected:
-        raise SchemeError(f"tour misses {len(expected) - len(seen)} edge(s)")
+    """Check that ``tour`` visits every edge of ``graph`` exactly once,
+    with the check of :meth:`PebblingScheme.from_edge_order`."""
+    PebblingScheme.from_edge_order(graph, tour)
 
 
 def tour_to_scheme(graph: AnyGraph, tour: Sequence[EdgeNode]) -> PebblingScheme:
@@ -82,9 +73,10 @@ def tour_to_scheme(graph: AnyGraph, tour: Sequence[EdgeNode]) -> PebblingScheme:
     ``e_i`` means placing the pebbles on its endpoints.  Scheme cost is the
     tour cost plus 2 (the initial double placement), so
     ``π̂ = (m − 1 + J) + 2`` and, for connected ``G``, ``π = tour cost + 1``.
+    Raises :class:`~repro.errors.SchemeError` unless ``tour`` visits every
+    edge of ``graph`` exactly once.
     """
-    validate_tour(graph, tour)
-    return PebblingScheme.from_edge_order(graph, list(tour))
+    return PebblingScheme.from_edge_order(graph, tour)
 
 
 def scheme_to_tour(graph: AnyGraph, scheme: PebblingScheme) -> list[EdgeNode]:

@@ -1,11 +1,12 @@
-"""Line graphs and the weighted completion used by the TSP view (paper §2.2).
+"""Line graphs and interned edge tables for the TSP view (paper §2.2).
 
 The line graph ``L(G)`` has one node per edge of ``G``; two nodes are
 adjacent iff the corresponding edges of ``G`` share an endpoint.  A pebbling
 scheme moves from edge to edge, so a scheme is a walk over the nodes of
 ``L(G)``; viewing ``L(G)`` as a complete graph with weight 1 on its edges
-("good") and weight 2 on non-edges ("bad"), the optimal pebbling cost is a
-minimum-cost travelling-salesman *path* (Prop 2.2).
+("good") and weight 2 on non-edges ("bad", ``Graph.complement_weight``),
+the optimal pebbling cost is a minimum-cost travelling-salesman *path*
+(Prop 2.2).
 
 Line graphs of connected graphs are connected and claw-free (Harary), which
 Theorem 3.1 relies on; :func:`is_claw_free` verifies the property.
@@ -27,11 +28,6 @@ AnyGraph = Graph | BipartiteGraph
 LineNode = tuple
 
 
-def graph_edge_list(graph: AnyGraph) -> list[LineNode]:
-    """The canonical edge list of either graph type."""
-    return list(graph.edges())
-
-
 def line_graph(graph: AnyGraph) -> Graph:
     """Construct ``L(G)``.
 
@@ -39,7 +35,7 @@ def line_graph(graph: AnyGraph) -> Graph:
     construction is O(sum of deg² ) — it groups edges by shared endpoint
     rather than testing all edge pairs.
     """
-    edges = graph_edge_list(graph)
+    edges = graph.edges()
     lg = Graph(vertices=edges)
     # Group the edges by endpoint; every pair within a group is adjacent.
     by_endpoint: dict[object, list[LineNode]] = {}
@@ -195,18 +191,3 @@ def is_claw_free(graph: Graph) -> bool:
             ):
                 return False
     return True
-
-
-def tsp_weight(line: Graph, a: LineNode, b: LineNode) -> int:
-    """Weight of the pair ``{a, b}`` in the completed line graph: 1 if the
-    two underlying edges share an endpoint ("good"), else 2 ("bad")."""
-    return line.complement_weight(a, b)
-
-
-def good_degree(line: Graph, node: LineNode) -> int:
-    """The number of weight-1 (good) edges at ``node`` in the completion.
-
-    This is simply the node's degree in ``L(G)`` and drives the deficiency
-    lower bound (Theorem 3.3's counting argument generalized).
-    """
-    return line.degree(node)

@@ -9,6 +9,11 @@ depth; the greedy chunk reordering scans every remaining path per step; and
 the Warnsdorff greedy tour builds ``L(G)`` and rescans every unvisited node
 at each restart.  The library's neighbour-list, interned, incremental
 versions must return exactly what these return.
+
+The adapters at the end give these the signatures of the id functions a
+solve calls (``dfs_approx.component_tour_ids``,
+``greedy.component_tour_ids`` and polish's ``_local_optimum``), so a test
+can put them on the solve path itself.
 """
 
 from __future__ import annotations
@@ -259,3 +264,41 @@ def component_tour_greedy(component) -> list:
         unvisited.discard(current)
         tour.append(current)
     return tour
+
+
+def ids_of(table, tour: list) -> list[int]:
+    """A tour of a component's edges as ids of its edge table."""
+    local = dict(zip(table.pairs(), range(len(table))))
+    return [local[edge] for edge in tour]
+
+
+def dfs_tour_ids(graph):
+    """``dfs_approx.component_tour_ids`` for the components of ``graph``,
+    answered by :func:`component_tour_dfs` on the component whose
+    vertices the edge table holds."""
+
+    def tour_ids(table) -> tuple[list[int], int]:
+        tour, chunks = component_tour_dfs(graph.subgraph(table.vertices))
+        return ids_of(table, tour), chunks
+
+    return tour_ids
+
+
+def greedy_tour_ids(graph):
+    """``greedy.component_tour_ids`` for the components of ``graph``,
+    answered by :func:`component_tour_greedy`."""
+
+    def tour_ids(table) -> list[int]:
+        return ids_of(table, component_tour_greedy(graph.subgraph(table.vertices)))
+
+    return tour_ids
+
+
+def local_optimum(
+    table, tour: list[int], max_rounds: int = 10_000, budget: Budget | None = None
+) -> tuple[list[int], int]:
+    """``local_search._local_optimum`` answered by :func:`improve_tour`:
+    ``(improved tour of edge ids, jumps removed)``."""
+    pairs = table.pairs(tour)
+    better = improve_tour(pairs, max_rounds, budget)
+    return ids_of(table, better), tour_cost(pairs) - tour_cost(better)

@@ -4,22 +4,25 @@ Before the one-pass decomposition, every solver, ``polish_scheme``, the
 lower bound, the registry and the batch paths each copied the graph
 without its isolated vertices and split it into components again.  This
 module keeps that path: the same per-component library functions
-(``component_tour_dfs``, ``improve_tour``, ``biclique_tour``, …) driven by
-a fresh ``without_isolated_vertices()`` + ``component_vertex_sets`` +
-``subgraph`` split at every entry point.  The library's single-split
-``solve``, ``solve_many`` and server dispatcher must return exactly what
-this returns.
+(``dfs_approx.component_tour_ids``, ``biclique_tour``, …) driven by a
+fresh ``without_isolated_vertices()`` + ``component_vertex_sets`` +
+``subgraph`` split at every entry point, each component interned on its
+own (``EdgeTable.intern(component.edges())``) and its tour taken back to
+edges (``table.pairs``): :func:`dfs_tour`, :func:`greedy_tour` and
+:func:`polished_tour`, which other tests use as the library's tours of
+edges.  Exact search runs on the line-graph compile of
+``tests/core/exact_reference.py``.  The library's single-split ``solve``,
+``solve_many`` and server dispatcher must return exactly what this
+returns.
 """
 
 from __future__ import annotations
 
 from repro.core.lower_bounds import path_partition_lower_bound
 from repro.core.scheme import PebblingScheme
-from repro.core.solvers.dfs_approx import component_tour_dfs
+from repro.core.solvers import dfs_approx, greedy, local_search
 from repro.core.solvers.equijoin import biclique_tour
-from repro.core.solvers.exact import DEFAULT_NODE_BUDGET, optimal_component_tour
-from repro.core.solvers.greedy import component_tour_greedy
-from repro.core.solvers.local_search import improve_tour
+from repro.core.solvers.exact import DEFAULT_NODE_BUDGET
 from repro.core.solvers.registry import (
     AUTO_EXACT_EDGE_LIMIT,
     SolveResult,
@@ -28,7 +31,7 @@ from repro.core.solvers.registry import (
 from repro.errors import BudgetExhaustedError, InstanceTooLargeError, SolverError
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.components import betti_number, component_vertex_sets
-from repro.graphs.line_graph import line_graph
+from repro.graphs.line_graph import EdgeTable, line_graph
 from repro.parallel.cache import cache_key
 from repro.parallel.fingerprint import canonical_form
 from repro.parallel.service import _merge_provenance, _merge_status, rebind_result
@@ -39,11 +42,35 @@ from repro.runtime.anytime import (
     STATUS_OPTIMAL,
     SolveProvenance,
 )
+from tests.core.exact_reference import optimal_component_tour
 
 
 def _components(graph) -> list:
     working = graph.without_isolated_vertices()
     return [working.subgraph(vs) for vs in component_vertex_sets(working)]
+
+
+def dfs_tour(component) -> tuple[list, int]:
+    """The library's Theorem 3.1 tour of one connected component, on its
+    own edge table, as its edges: ``(tour, chunk_count)``."""
+    table = EdgeTable.intern(component.edges())
+    ids, chunks = dfs_approx.component_tour_ids(table)
+    return table.pairs(ids), chunks
+
+
+def greedy_tour(component) -> list:
+    """The library's greedy tour of one connected component, as its edges."""
+    table = EdgeTable.intern(component.edges())
+    return table.pairs(greedy.component_tour_ids(table))
+
+
+def polished_tour(tour: list, budget=None) -> list:
+    """The library's local search on one component's tour of edges:
+    interned once, searched on edge ids, taken back to edges."""
+    table = EdgeTable.intern(tour)
+    ids = list(range(len(tour)))
+    better, _removed = local_search._local_optimum(table, ids, budget=budget)
+    return table.pairs(better)
 
 
 def _scheme(graph, flat: list) -> PebblingScheme:
@@ -75,7 +102,7 @@ def solve_dfs_approx(graph, budget=None) -> PebblingScheme:
     for component in _components(graph):
         if budget is not None:
             budget.poll(max(1, component.num_edges))
-        flat.extend(component_tour_dfs(component)[0])
+        flat.extend(dfs_tour(component)[0])
     return _scheme(graph, flat)
 
 
@@ -84,7 +111,7 @@ def solve_greedy(graph, budget=None) -> PebblingScheme:
     for component in _components(graph):
         if budget is not None:
             budget.poll(max(1, component.num_edges))
-        flat.extend(component_tour_greedy(component))
+        flat.extend(greedy_tour(component))
     return _scheme(graph, flat)
 
 
@@ -104,7 +131,7 @@ def polish_scheme(graph, scheme, budget=None) -> PebblingScheme:
         )
     flat: list = []
     for index in sorted(by_component):
-        flat.extend(improve_tour(by_component[index], budget=budget))
+        flat.extend(polished_tour(by_component[index], budget=budget))
     return PebblingScheme.from_edge_order(working, flat)
 
 

@@ -13,10 +13,10 @@ from repro.graphs.generators import (
 )
 from repro.core.costs import effective_cost_bounds
 from repro.core.families import worst_case_family
-from repro.core.solvers.dfs_approx import component_tour_dfs
 from repro.core.solvers.exact import solve_exact
 from repro.core.solvers.registry import solve
 from repro.core.tsp import tour_jumps
+from tests.core.split_reference import dfs_tour
 
 
 def guarantee(g) -> int:
@@ -91,7 +91,7 @@ class TestMechanics:
 
     def test_chunks_reported(self):
         g = worst_case_family(6)
-        tour, chunks = component_tour_dfs(g)
+        tour, chunks = dfs_tour(g)
         assert chunks >= 1
         # Jumps can only be fewer than chunk junctions (greedy reordering).
         assert tour_jumps(tour) <= chunks - 1

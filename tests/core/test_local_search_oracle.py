@@ -24,6 +24,7 @@ from repro.graphs.simple import Graph
 from repro.graphs.traversal import dfs_tree
 from repro.runtime.budget import Budget
 from tests.core import quadratic_reference as reference
+from tests.core.split_reference import dfs_tour, greedy_tour, polished_tour
 from tests.core.test_dfs_peel_oracle import hub_graphs
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -62,7 +63,7 @@ def _dfs_chunk_tour(graph) -> list:
     return [
         edge
         for vertex_set in component_vertex_sets(graph)
-        for edge in dfs_approx.component_tour_dfs(graph.subgraph(vertex_set))[0]
+        for edge in dfs_tour(graph.subgraph(vertex_set))[0]
     ]
 
 
@@ -79,7 +80,7 @@ def tours(draw):
 @SETTINGS
 @given(tours())
 def test_improve_tour_matches_quadratic_reference(tour):
-    assert local_search.improve_tour(tour) == reference.improve_tour(tour)
+    assert polished_tour(tour) == reference.improve_tour(tour)
 
 
 def _edge_neighbours(tour: list):
@@ -103,14 +104,14 @@ def shuffled_tours(draw):
 @SETTINGS
 @given(shuffled_tours())
 def test_improve_tour_matches_reference_on_shuffled_hub_tours(tour):
-    assert local_search.improve_tour(tour) == reference.improve_tour(tour)
+    assert polished_tour(tour) == reference.improve_tour(tour)
 
 
 @SETTINGS
 @given(leafy_graphs())
 def test_improve_tour_matches_reference_on_hub_chunk_tours(graph):
     tour = _dfs_chunk_tour(graph)
-    assert local_search.improve_tour(tour) == reference.improve_tour(tour)
+    assert polished_tour(tour) == reference.improve_tour(tour)
 
 
 @SETTINGS
@@ -119,7 +120,7 @@ def test_greedy_tours_match_line_graph_reference(graph):
     for vertex_set in component_vertex_sets(graph):
         component = graph.subgraph(vertex_set)
         expected = reference.component_tour_greedy(component)
-        assert greedy.component_tour_greedy(component) == expected
+        assert greedy_tour(component) == expected
 
 
 @SETTINGS
@@ -181,12 +182,17 @@ def test_peel_chunks_match_depth_walk_reference(graph):
 @settings(max_examples=40, deadline=None)
 @given(graphs(), st.sampled_from(["dfs+polish", "greedy+polish"]))
 def test_polished_schemes_match_reference(graph, method):
+    if method == "dfs+polish":
+        constructive, tour_ids = dfs_approx, reference.dfs_tour_ids(graph)
+    else:
+        constructive, tour_ids = greedy, reference.greedy_tour_ids(graph)
     with mock.patch.object(
-        local_search, "improve_tour", reference.improve_tour
-    ), mock.patch.object(
-        dfs_approx, "component_tour_dfs", reference.component_tour_dfs
-    ):
+        local_search, "_local_optimum", side_effect=reference.local_optimum
+    ) as polish, mock.patch.object(
+        constructive, "component_tour_ids", side_effect=tour_ids
+    ) as construct:
         expected = solve(graph, method).scheme.configurations
+    assert construct.called and polish.called
     assert solve(graph, method).scheme.configurations == expected
 
 
@@ -229,11 +235,11 @@ def test_tsp12_two_opt_matches_reference_on_dense_and_hub_instances(
 
 
 def test_jump_free_tour_is_returned_as_is():
-    tour, _chunks = dfs_approx.component_tour_dfs(path_graph(9))
+    tour, _chunks = dfs_tour(path_graph(9))
     assert tour_jumps(tour) == 0
-    assert local_search.improve_tour(tour) == tour
-    assert local_search.improve_tour(tour[:1]) == tour[:1]
-    assert local_search.improve_tour([]) == []
+    assert polished_tour(tour) == tour
+    assert polished_tour(tour[:1]) == tour[:1]
+    assert polished_tour([]) == []
 
 
 def test_tripped_budget_leaves_polish_input_unchanged():

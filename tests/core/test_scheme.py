@@ -13,6 +13,7 @@ from repro.core.scheme import (
     config_transition_cost,
     configs_share_vertex,
 )
+from repro.core.tsp import validate_tour
 
 
 class TestTransitionCost:
@@ -66,6 +67,14 @@ class TestConstruction:
         u, v = edges[0]
         with pytest.raises(SchemeError, match="listed twice"):
             PebblingScheme.from_edge_order(path4, edges[:-1] + [(v, u)])
+
+    def test_from_edge_order_rejects_an_entry_that_is_not_a_pair(self, path4):
+        first, *rest = path4.edges()
+        for entry in (first[:1], first + ("extra",)):
+            with pytest.raises(SchemeError):
+                PebblingScheme.from_edge_order(path4, [entry] + rest)
+            with pytest.raises(SchemeError):
+                validate_tour(path4, [entry] + rest)
 
     def test_from_edge_order_takes_either_orientation_and_lists(self, path4):
         reversed_edges = [(v, u) for u, v in path4.edges()]

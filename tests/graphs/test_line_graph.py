@@ -11,12 +11,7 @@ from repro.graphs.generators import (
     random_bipartite_gnm,
     star_graph,
 )
-from repro.graphs.line_graph import (
-    good_degree,
-    is_claw_free,
-    line_graph,
-    tsp_weight,
-)
+from repro.graphs.line_graph import is_claw_free, line_graph
 from repro.graphs.simple import Graph
 
 
@@ -91,7 +86,7 @@ class TestWeights:
             if e1 != e2 and set(e1) & set(e2)
         ]
         e1, e2 = sharing[0]
-        assert tsp_weight(lg, e1, e2) == 1
+        assert lg.complement_weight(e1, e2) == 1
         disjoint = [
             (e1, e2)
             for e1 in edges
@@ -99,10 +94,16 @@ class TestWeights:
             if e1 != e2 and not set(e1) & set(e2)
         ]
         e1, e2 = disjoint[0]
-        assert tsp_weight(lg, e1, e2) == 2
+        assert lg.complement_weight(e1, e2) == 2
 
     def test_good_degree_equals_line_degree(self):
+        # The weight-1 (good) pairs at a node are its L(G) edges.
         g = star_graph(3)
         lg = line_graph(g)
         for node in lg.vertices:
-            assert good_degree(lg, node) == lg.degree(node)
+            good = [
+                other
+                for other in lg.vertices
+                if other != node and lg.complement_weight(node, other) == 1
+            ]
+            assert len(good) == lg.degree(node)
