@@ -220,7 +220,9 @@ telemetry-smoke:
 wcoj-smoke:
 	rm -rf .wcoj-smoke
 	PYTHONPATH=src $(PYTHON) -m pytest tests/joins/test_multiway.py \
-		tests/joins/test_properties_multiway.py -q
+		tests/joins/test_properties_multiway.py \
+		tests/joins/test_cascade_oracle.py \
+		tests/geometry/test_rtree_oracle.py -q
 	PYTHONPATH=src $(PYTHON) -m repro bench --smoke \
 		--scenario wcoj-triangle --scenario wcoj-4cycle \
 		--out-dir .wcoj-smoke --runs-dir .wcoj-smoke/runs

@@ -16,6 +16,7 @@ pebbling effective cost so plan regret is measurable, not guessed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any
 
 from repro.engine.planner import Plan, algorithm_by_name, plan as make_plan
@@ -25,7 +26,9 @@ from repro.graphs.bipartite import BipartiteGraph
 # Looked up by name at run time; kept importable here so a caller that
 # wraps the executor's algorithms (perfbench's tracer) still finds it.
 from repro.joins.algorithms import block_nested_loops  # noqa: F401
-from repro.joins.join_graph import build_join_graph_cached
+# Looked up through the module at call time, so a caller that wraps
+# the extraction (perfbench's tracer) sees the executor's builds.
+from repro.joins import join_graph as extraction
 from repro.joins.trace import TraceReport, trace_report
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
@@ -151,9 +154,10 @@ def execute(
 
     With ``with_trace=True`` (default) the join graph is also built and
     the execution's pebbling costs reported; pass False to skip that
-    overhead for large joins.  A caller that already materialized the
-    query's join graph can thread it through ``join_graph`` to skip the
-    rebuild (otherwise the memoized builder covers repeated executions).
+    overhead for large joins.  The graph is built once per call and
+    shared by the trace and the shadow pass; a caller that already
+    materialized the query's join graph can thread it through
+    ``join_graph`` to skip the build.
 
     ``budget`` (explicit, or ambient via :func:`repro.runtime.use_budget`)
     threads a deadline through planning and sheds the optional pebbling
@@ -175,10 +179,12 @@ def execute(
         with obs_trace.span("engine.join", algorithm=name):
             pairs = _run_algorithm(query, name)
         with obs_trace.span("engine.materialize", pairs=len(pairs)):
-            rows = [
-                (query.left.value(l_ref), query.right.value(r_ref))
-                for l_ref, r_ref in pairs
-            ]
+            rows = list(
+                zip(
+                    query.left.values_of(map(itemgetter(0), pairs)),
+                    query.right.values_of(map(itemgetter(1), pairs)),
+                )
+            )
         under_pressure = budget is not None and budget.under_pressure()
         trace = None
         if with_trace and under_pressure:
@@ -190,7 +196,7 @@ def execute(
         if with_trace:
             with obs_trace.span("engine.trace"):
                 if graph is None:
-                    graph = build_join_graph_cached(
+                    graph = extraction.build_join_graph(
                         query.left, query.right, query.predicate
                     )
                 trace = trace_report(graph, pairs, name)
@@ -205,7 +211,7 @@ def execute(
             ):
                 with obs_trace.span("engine.shadow"):
                     if graph is None:
-                        graph = build_join_graph_cached(
+                        graph = extraction.build_join_graph(
                             query.left, query.right, query.predicate
                         )
                     _shadow_execute(query, record, pairs, graph)

@@ -103,7 +103,9 @@ def sweep_interval_pairs(
     for index, (interval, _) in enumerate(right):
         events.append((interval.lo, 0, 1, index))
         events.append((interval.hi, 1, 1, index))
-    events.sort(key=lambda e: (e[0], e[1]))
+    # Natural tuple order: ties on (x, kind) fall to (side, index)
+    # ascending, which is the order the events were appended in.
+    events.sort()
 
     active_left: set[int] = set()
     active_right: set[int] = set()
@@ -114,12 +116,12 @@ def sweep_interval_pairs(
             continue
         if side == 0:
             active_left.add(index)
-            for j in active_right:
-                out.append((left[index][1], right[j][1]))
+            payload = left[index][1]
+            out += [(payload, right[j][1]) for j in active_right]
         else:
             active_right.add(index)
-            for i in active_left:
-                out.append((left[i][1], right[index][1]))
+            payload = right[index][1]
+            out += [(left[i][1], payload) for i in active_left]
     return out
 
 

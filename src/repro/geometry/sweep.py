@@ -38,25 +38,32 @@ def sweep_rectangle_pairs(
     for idx, (rect, _) in enumerate(right):
         events.append((rect.x_min, 0, 1, idx))
         events.append((rect.x_max, 1, 1, idx))
-    events.sort(key=lambda e: (e[0], e[1]))
+    # Natural tuple order: ties on (x, kind) fall to (side, idx)
+    # ascending, which is the order the events were appended in.
+    events.sort()
 
-    active_left: dict[int, Rectangle] = {}
-    active_right: dict[int, Rectangle] = {}
+    # Active rectangles by index: (y_min, y_max, payload), in activation order.
+    active_left: dict[int, tuple[float, float, Any]] = {}
+    active_right: dict[int, tuple[float, float, Any]] = {}
     out: list[tuple[Any, Any]] = []
     for _x, kind, side, idx in events:
         if kind == 1:
             (active_left if side == 0 else active_right).pop(idx, None)
             continue
+        rect, payload = (left if side == 0 else right)[idx]
+        y0, y1 = rect.y_min, rect.y_max
         if side == 0:
-            rect, payload = left[idx]
-            active_left[idx] = rect
-            for j, other in active_right.items():
-                if rect.y_min <= other.y_max and other.y_min <= rect.y_max:
-                    out.append((payload, right[j][1]))
+            active_left[idx] = (y0, y1, payload)
+            out += [
+                (payload, q)
+                for lo, hi, q in active_right.values()
+                if y0 <= hi and lo <= y1
+            ]
         else:
-            rect, payload = right[idx]
-            active_right[idx] = rect
-            for i, other in active_left.items():
-                if rect.y_min <= other.y_max and other.y_min <= rect.y_max:
-                    out.append((left[i][1], payload))
+            active_right[idx] = (y0, y1, payload)
+            out += [
+                (p, payload)
+                for lo, hi, p in active_left.values()
+                if y0 <= hi and lo <= y1
+            ]
     return out

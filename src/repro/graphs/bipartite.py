@@ -105,6 +105,37 @@ class BipartiteGraph:
         self._right[v].add(u)
         self._version += 1
 
+    def add_edges(self, pairs: Iterable[tuple[Vertex, Vertex]]) -> None:
+        """Add every pair ``(u, v)`` as an edge, ``u`` a left vertex and
+        ``v`` a right vertex of the graph: :meth:`add_edge` over many pairs,
+        without a Python call per pair.
+
+        A repeated pair is one edge.  A pair whose left vertex is not on
+        the left side, or whose right vertex is not on the right side,
+        raises :class:`~repro.errors.GraphError` before any edge is added;
+        unlike :meth:`add_edge`, nothing is created or reoriented.
+        """
+        pairs = list(pairs)
+        if not pairs:
+            return
+        if set(map(len, pairs)) != {2}:
+            raise GraphError("every edge needs exactly two vertices")
+        us, vs = zip(*pairs)
+        u_nbrs = list(map(self._left.get, us))
+        v_nbrs = list(map(self._right.get, vs))
+        if None in u_nbrs or None in v_nbrs:
+            u, v = next(
+                p for p, a, b in zip(pairs, u_nbrs, v_nbrs) if a is None or b is None
+            )
+            raise GraphError(
+                f"edge ({u!r}, {v!r}) needs a left vertex and a right vertex "
+                "of the graph"
+            )
+        # set.add returns None, so any() runs each map to its end in C.
+        any(map(set.add, u_nbrs, vs))
+        any(map(set.add, v_nbrs, us))
+        self._version += 1
+
     def remove_edge(self, u: Vertex, v: Vertex) -> None:
         """Remove edge ``(u, v)``; raises if absent."""
         if not self.has_edge(u, v):

@@ -17,6 +17,7 @@ as the ``replication_factor`` the function can report.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from typing import Any
 
 from repro.errors import PredicateError
@@ -49,26 +50,34 @@ def _boxes(relation: Relation) -> list[tuple[Rectangle, TupleRef]]:
     )
 
 
-def _verify(left: Relation, right: Relation, r_ref: TupleRef, s_ref: TupleRef) -> bool:
-    """Exact predicate check (only needed for polygon columns)."""
-    from repro.geometry.intersect import overlap
-
+def _verifier(
+    left: Relation, right: Relation
+) -> Callable[[TupleRef, TupleRef], bool] | None:
+    """The exact predicate check of a join's box-test candidates, or None
+    when the box test already *is* the predicate (interval and rectangle
+    columns); decided once per join, not per candidate."""
     exact_domains = (Domain.RECTANGLE, Domain.INTERVAL)
     if left.domain in exact_domains and right.domain in exact_domains:
-        return True  # the box test *is* the predicate
-    return overlap(left.value(r_ref), right.value(s_ref))
+        return None
+    from repro.geometry.intersect import overlap
+
+    return lambda r_ref, s_ref: overlap(left.value(r_ref), right.value(s_ref))
+
+
+def _verified(
+    left: Relation, right: Relation, candidates: list[tuple[TupleRef, TupleRef]]
+) -> list[tuple[TupleRef, TupleRef]]:
+    verify = _verifier(left, right)
+    if verify is None:
+        return candidates
+    return [pair for pair in candidates if verify(*pair)]
 
 
 def plane_sweep_join(
     left: Relation, right: Relation
 ) -> list[tuple[TupleRef, TupleRef]]:
     """Overlap join by plane sweep, in sweep emission order."""
-    candidates = sweep_rectangle_pairs(_boxes(left), _boxes(right))
-    out: list[tuple[TupleRef, TupleRef]] = []
-    for r_ref, s_ref in candidates:
-        if _verify(left, right, r_ref, s_ref):
-            out.append((r_ref, s_ref))
-    return out
+    return _verified(left, right, sweep_rectangle_pairs(_boxes(left), _boxes(right)))
 
 
 def rtree_join(
@@ -77,11 +86,7 @@ def rtree_join(
     """Overlap join by synchronized R-tree descent."""
     left_tree = RTree(_boxes(left), fanout=fanout)
     right_tree = RTree(_boxes(right), fanout=fanout)
-    out: list[tuple[TupleRef, TupleRef]] = []
-    for r_ref, s_ref in left_tree.join(right_tree):
-        if _verify(left, right, r_ref, s_ref):
-            out.append((r_ref, s_ref))
-    return out
+    return _verified(left, right, left_tree.join(right_tree))
 
 
 def pbsm_join(
@@ -134,6 +139,7 @@ def pbsm_join(
             partitions.setdefault(cell, ([], []))[1].append((box, ref))
             replicas += 1
 
+    verify = _verifier(left, right)
     out: list[tuple[TupleRef, TupleRef]] = []
     seen: set[tuple[TupleRef, TupleRef]] = set()
     duplicates = 0
@@ -150,7 +156,7 @@ def pbsm_join(
                 # Mark the pair as seen either way so a verified-negative
                 # polygon pair is not re-verified in another shared cell.
                 seen.add(pair)
-                if _verify(left, right, r_ref, s_ref):
+                if verify is None or verify(r_ref, s_ref):
                     out.append(pair)
     if report_stats:
         stats = {

@@ -22,52 +22,33 @@ tests assert they agree with the naive path on random instances.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 from repro.graphs.bipartite import BipartiteGraph
 from repro.geometry.primitives import Polygon, Rectangle
 from repro.geometry.sweep import sweep_rectangle_pairs
 from repro.joins.algorithms.band_join import band_merge_join
 from repro.joins.predicates import Equality, JoinPredicate, SetContainment
-from repro.obs import metrics as obs_metrics
 from repro.relations.domains import Domain
 from repro.relations.relation import Relation
 from repro.sets.inverted import InvertedIndex
 
 
-def _empty_graph(left: Relation, right: Relation) -> BipartiteGraph:
-    return BipartiteGraph(left=left.refs(), right=right.refs())
+def _with_edges(left: Relation, right: Relation, pairs) -> BipartiteGraph:
+    """Both relations' refs as the two sides, ``pairs`` as the edges.
 
-
-def _dedup_pairs(pairs):
-    """Yield each (left-ref, right-ref) pair once, in first-seen order."""
-    seen: set = set()
-    for pair in pairs:
-        if pair not in seen:
-            seen.add(pair)
-            yield pair
-
-
-def _add_edges(graph: BipartiteGraph, pairs) -> BipartiteGraph:
-    """The single edge-insertion point shared by every extraction path.
-
-    Accelerated paths can surface the same candidate pair more than once
-    (duplicate sweep events, posting-list unions); the naive path cannot.
-    ``BipartiteGraph.add_edge`` happens to be idempotent (set-backed), so
-    paths that skipped their own dedup were still correct — but only by
-    accident of the storage choice.  Routing every path through one dedup
-    point makes the semantics uniform by construction, and a multigraph-
-    backed storage swap could no longer silently diverge between paths.
+    ``BipartiteGraph.add_edges`` is the single edge-insertion point of
+    every extraction path: accelerated paths can surface the same
+    candidate pair more than once (duplicate sweep events, posting-list
+    unions), and it keeps a repeated pair as one edge.
     """
-    for r_ref, s_ref in _dedup_pairs(pairs):
-        graph.add_edge(r_ref, s_ref)
+    graph = BipartiteGraph(left=left.refs(), right=right.refs())
+    graph.add_edges(pairs)
     return graph
 
 
 def _naive(left: Relation, right: Relation, predicate: JoinPredicate) -> BipartiteGraph:
-    graph = _empty_graph(left, right)
-    return _add_edges(
-        graph,
+    return _with_edges(
+        left,
+        right,
         (
             (r_ref, s_ref)
             for r_ref, r_val in left.items()
@@ -98,24 +79,23 @@ def _hash_equality(left: Relation, right: Relation) -> BipartiteGraph:
 
 
 def _sweep_spatial(left: Relation, right: Relation) -> BipartiteGraph:
-    graph = _empty_graph(left, right)
     left_entries = [(value, ref) for ref, value in left.items()]
     right_entries = [(value, ref) for ref, value in right.items()]
-    return _add_edges(graph, sweep_rectangle_pairs(left_entries, right_entries))
+    return _with_edges(left, right, sweep_rectangle_pairs(left_entries, right_entries))
 
 
 def _polygon_filter_verify(
     left: Relation, right: Relation, predicate: JoinPredicate
 ) -> BipartiteGraph:
     # Filter on bounding boxes with the sweep, verify with the real test.
-    # Candidates are deduplicated *before* verification so each pair pays
-    # the exact predicate at most once.
-    graph = _empty_graph(left, right)
+    # Candidates are deduplicated (keep-first) *before* verification so
+    # each pair pays the exact predicate at most once.
     left_entries = [(value.bounding_box(), ref) for ref, value in left.items()]
     right_entries = [(value.bounding_box(), ref) for ref, value in right.items()]
-    candidates = _dedup_pairs(sweep_rectangle_pairs(left_entries, right_entries))
-    return _add_edges(
-        graph,
+    candidates = dict.fromkeys(sweep_rectangle_pairs(left_entries, right_entries))
+    return _with_edges(
+        left,
+        right,
         (
             (r_ref, s_ref)
             for r_ref, s_ref in candidates
@@ -127,17 +107,16 @@ def _polygon_filter_verify(
 def _sweep_intervals(left: Relation, right: Relation) -> BipartiteGraph:
     from repro.geometry.interval import sweep_interval_pairs
 
-    graph = _empty_graph(left, right)
     left_entries = [(value, ref) for ref, value in left.items()]
     right_entries = [(value, ref) for ref, value in right.items()]
-    return _add_edges(graph, sweep_interval_pairs(left_entries, right_entries))
+    return _with_edges(left, right, sweep_interval_pairs(left_entries, right_entries))
 
 
 def _inverted_containment(left: Relation, right: Relation) -> BipartiteGraph:
-    graph = _empty_graph(left, right)
     index = InvertedIndex([(ref, value) for ref, value in right.items()])
-    return _add_edges(
-        graph,
+    return _with_edges(
+        left,
+        right,
         (
             (r_ref, s_ref)
             for r_ref, r_val in left.items()
@@ -158,7 +137,7 @@ def _inverted_set_overlap(left: Relation, right: Relation) -> BipartiteGraph:
             for s_ref in sorted(candidates, key=repr):
                 yield r_ref, s_ref
 
-    return _add_edges(_empty_graph(left, right), pairs())
+    return _with_edges(left, right, pairs())
 
 
 def build_join_graph(
@@ -193,62 +172,8 @@ def build_join_graph(
     if predicate.name == "set-overlap":
         return _inverted_set_overlap(left, right)
     if predicate.name == "band":
-        pairs = band_merge_join(left, right, predicate.width)
-        return _add_edges(_empty_graph(left, right), pairs)
+        return _with_edges(left, right, band_merge_join(left, right, predicate.width))
     return _naive(left, right, predicate)
-
-
-# A small LRU of recently built join graphs.  Keys combine object identity
-# with the (append-only) relation lengths, so a relation that grows after
-# caching can never alias a stale graph; holding strong references to the
-# relations in the value pins their ids for the entry's lifetime.
-_GRAPH_CACHE: OrderedDict = OrderedDict()
-_GRAPH_CACHE_LIMIT = 16
-
-
-def _predicate_cache_key(predicate: JoinPredicate) -> tuple:
-    return (type(predicate).__name__, tuple(sorted(vars(predicate).items())))
-
-
-def clear_join_graph_cache() -> None:
-    """Drop every memoized join graph (tests and long-lived processes)."""
-    _GRAPH_CACHE.clear()
-
-
-def build_join_graph_cached(
-    left: Relation,
-    right: Relation,
-    predicate: JoinPredicate,
-    accelerate: bool = True,
-) -> BipartiteGraph:
-    """Memoized :func:`build_join_graph`.
-
-    Re-planning and re-executing the same query (the executor's trace
-    path, repeated benchmark rounds) previously rebuilt the identical
-    join graph each time; this front-end returns the cached graph
-    instead and records the saved work under the
-    ``joins.join_graph_cache.*`` metrics counters.  The returned graph is
-    **shared** — callers must treat it as read-only.
-    """
-    key = (
-        id(left),
-        len(left),
-        id(right),
-        len(right),
-        _predicate_cache_key(predicate),
-        accelerate,
-    )
-    entry = _GRAPH_CACHE.get(key)
-    if entry is not None and entry[0] is left and entry[1] is right:
-        _GRAPH_CACHE.move_to_end(key)
-        obs_metrics.inc("joins.join_graph_cache.hits")
-        return entry[2]
-    graph = build_join_graph(left, right, predicate, accelerate)
-    obs_metrics.inc("joins.join_graph_cache.misses")
-    _GRAPH_CACHE[key] = (left, right, graph)
-    while len(_GRAPH_CACHE) > _GRAPH_CACHE_LIMIT:
-        _GRAPH_CACHE.popitem(last=False)
-    return graph
 
 
 def join_output_size(graph: BipartiteGraph) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.joins.multiway.query import MultiwayQuery, Row
+from repro.joins.multiway.query import MultiwayQuery, Row, row_projector
 from repro.joins.multiway.result import MultiwayResult
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -47,24 +47,33 @@ def _run(query: MultiwayQuery, budget: Budget | None) -> MultiwayResult:
     acc: list[Row] = sorted(atoms[0].distinct_rows())
     stage_sizes: list[int] = []
     steps = 0
+    charged = 0  # the part of steps already charged, whole _CHECK_EVERY units
     for stage, atom in enumerate(atoms[1:], start=1):
         shared = [v for v in atom.variables if v in acc_vars]
         fresh = [v for v in atom.variables if v not in acc_vars]
-        shared_pos = [atom.variables.index(v) for v in shared]
-        fresh_pos = [atom.variables.index(v) for v in fresh]
+        key_of = row_projector([atom.variables.index(v) for v in shared])
+        ext_of = row_projector([atom.variables.index(v) for v in fresh])
         buckets: dict[Row, list[Row]] = {}
         for row in atom.distinct_rows():
-            key = tuple(row[i] for i in shared_pos)
-            buckets.setdefault(key, []).append(tuple(row[i] for i in fresh_pos))
-        acc_key = [acc_vars.index(v) for v in shared]
+            buckets.setdefault(key_of(row), []).append(ext_of(row))
+        acc_key = row_projector([acc_vars.index(v) for v in shared])
+        get = buckets.get
+        # Without a budget one comprehension builds the whole stage;
+        # with one, slices of the accumulator bound how far the stage
+        # runs past a trip before the budget hears of it.
+        step = max(len(acc), 1) if budget is None else _CHECK_EVERY
         out: list[Row] = []
-        for t in acc:
-            key = tuple(t[i] for i in acc_key)
-            for ext in buckets.get(key, ()):
-                out.append(t + ext)
-                steps += 1
-                if budget is not None and steps % _CHECK_EVERY == 0:
-                    budget.checkpoint(_CHECK_EVERY)
+        for start in range(0, len(acc), step):
+            before = len(out)
+            out += [
+                t + ext
+                for t in acc[start : start + step]
+                for ext in get(acc_key(t), ())
+            ]
+            steps += len(out) - before
+            while budget is not None and steps - charged >= _CHECK_EVERY:
+                charged += _CHECK_EVERY
+                budget.checkpoint(_CHECK_EVERY)
         acc_vars.extend(fresh)
         acc = out
         stage_sizes.append(len(out))
@@ -73,7 +82,7 @@ def _run(query: MultiwayQuery, budget: Budget | None) -> MultiwayResult:
             # the last stage's output is the query output itself.
             result.intermediates += len(out)
     if budget is not None:
-        budget.checkpoint(steps % _CHECK_EVERY)
+        budget.checkpoint(steps - charged)
     # acc_vars grew in first-appearance order, so it already matches
     # query.variables() — no final projection needed.
     assert tuple(acc_vars) == order
@@ -98,21 +107,27 @@ def estimate_cascade(query: MultiwayQuery) -> tuple[int, ...]:
     first, second = atoms[0], atoms[1]
     shared = [v for v in second.variables if v in first.variables]
     left_cnt: Counter = Counter(
-        tuple(row[first.variables.index(v)] for v in shared)
-        for row in first.distinct_rows()
+        map(
+            row_projector([first.variables.index(v) for v in shared]),
+            first.distinct_rows(),
+        )
     )
     right_cnt: Counter = Counter(
-        tuple(row[second.variables.index(v)] for v in shared)
-        for row in second.distinct_rows()
+        map(
+            row_projector([second.variables.index(v) for v in shared]),
+            second.distinct_rows(),
+        )
     )
     est = sum(n * right_cnt[key] for key, n in left_cnt.items() if key in right_cnt)
     estimates = [est]
     acc_vars = set(first.variables) | set(second.variables)
     for atom in atoms[2:]:
         shared = [v for v in atom.variables if v in acc_vars]
-        shared_pos = [atom.variables.index(v) for v in shared]
         cnt: Counter = Counter(
-            tuple(row[i] for i in shared_pos) for row in atom.distinct_rows()
+            map(
+                row_projector([atom.variables.index(v) for v in shared]),
+                atom.distinct_rows(),
+            )
         )
         max_degree = max(cnt.values(), default=0)
         est = est * max_degree

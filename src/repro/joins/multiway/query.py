@@ -15,12 +15,26 @@ optimality statements hold.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any
 
 from repro.errors import PredicateError
 
 Row = tuple[Any, ...]
+
+
+def row_projector(positions: list[int]) -> Callable[[Row], Row]:
+    """A C-level function from a row to the tuple of its values at
+    ``positions``.
+
+    ``itemgetter`` of one index would return the bare value and of none
+    would raise, so those two project through a slice.
+    """
+    if len(positions) == 1:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(*positions) if positions else itemgetter(slice(0, 0))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ signature joins, …) inside the paper's model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from repro.errors import SchemeError
 from repro.graphs.bipartite import BipartiteGraph
@@ -20,7 +21,7 @@ from repro.graphs.components import decompose
 from repro.obs import metrics as obs_metrics
 from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
-from repro.relations.relation import TupleRef
+from repro.relations.relation import TupleRef, tuple_refs
 from repro.core.costs import effective_cost_bounds
 from repro.core.scheme import PebblingScheme
 
@@ -147,39 +148,30 @@ def multiway_trace_report(
     ``query.variables()`` column order).  ``atom_pair`` picks which two
     atoms the bindings are projected onto (default: the first two).
     """
+    from repro.joins.multiway.query import row_projector
+
     left, right = (query.atoms[i] for i in atom_pair)
     if left.name == right.name:
         raise SchemeError("trace projection needs two distinct atoms")
-    order = query.variables()
-    var_index = {v: i for i, v in enumerate(order)}
+    var_index = {v: i for i, v in enumerate(query.variables())}
+    bindings = list(bindings)
 
-    def first_row_index(atom):
-        # Keep-first: a binding pebbles the first matching row of the atom.
-        mapping: dict[tuple, int] = {}
-        for ordinal, row in enumerate(atom.rows):
-            mapping.setdefault(tuple(row), ordinal)
-        positions = tuple(var_index[v] for v in atom.variables)
-        return mapping, positions
+    def refs_of(atom) -> list[TupleRef]:
+        """Each binding's row of ``atom``, as the ref of the first row
+        equal to it (keep-first)."""
+        rows = list(map(tuple, atom.rows))
+        refs = tuple_refs(atom.name, range(len(rows)))
+        # Built back to front, so a row's first occurrence is written last.
+        first = dict(zip(reversed(rows), reversed(refs)))
+        project = row_projector([var_index[v] for v in atom.variables])
+        return list(map(first.__getitem__, map(project, bindings)))
 
-    left_rows, left_pos = first_row_index(left)
-    right_rows, right_pos = first_row_index(right)
-    pairs: JoinOutput = []
-    seen: set[tuple[TupleRef, TupleRef]] = set()
-    for binding in bindings:
-        lrow = tuple(binding[i] for i in left_pos)
-        rrow = tuple(binding[i] for i in right_pos)
-        pair = (
-            TupleRef(left.name, left_rows[lrow]),
-            TupleRef(right.name, right_rows[rrow]),
-        )
-        if pair not in seen:
-            seen.add(pair)
-            pairs.append(pair)
-    graph = BipartiteGraph()
-    for lref, rref in pairs:
-        graph.add_left_vertex(lref)
-        graph.add_right_vertex(rref)
-        graph.add_edge(lref, rref)
+    pairs: JoinOutput = list(dict.fromkeys(zip(refs_of(left), refs_of(right))))
+    graph = BipartiteGraph(
+        left=dict.fromkeys(map(itemgetter(0), pairs)),
+        right=dict.fromkeys(map(itemgetter(1), pairs)),
+    )
+    graph.add_edges(pairs)
     report = trace_report(graph, pairs, algorithm)
     return MultiwayTraceReport(
         report=report,

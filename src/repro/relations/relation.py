@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from functools import partial
 from itertools import repeat
+from operator import attrgetter
 from typing import Any, NamedTuple
 
 from repro.errors import RelationError
@@ -38,6 +39,17 @@ class TupleRef(NamedTuple):
 
 
 _new_ref = partial(tuple.__new__, TupleRef)
+_relation_of = attrgetter("relation")
+_ordinal_of = attrgetter("ordinal")
+
+
+def tuple_refs(relation: str, ordinals: Iterable[int]) -> list[TupleRef]:
+    """``TupleRef(relation, o)`` for each of ``ordinals``, in order.
+
+    ``tuple.__new__`` builds each ref in C; calling :class:`TupleRef`
+    would run its generated Python ``__new__`` once per ref.
+    """
+    return list(map(_new_ref, zip(repeat(relation), ordinals)))
 
 
 class Relation:
@@ -98,11 +110,7 @@ class Relation:
 
     def refs(self) -> list[TupleRef]:
         """One :class:`TupleRef` per physical tuple, in order."""
-        # tuple.__new__ builds each ref in C; calling TupleRef would run
-        # its generated Python __new__ once per tuple.
-        return list(
-            map(_new_ref, zip(repeat(self.name), range(len(self._values))))
-        )
+        return tuple_refs(self.name, range(len(self._values)))
 
     def value(self, ref: TupleRef) -> Any:
         """The attribute value of the referenced tuple."""
@@ -114,6 +122,24 @@ class Relation:
         if not 0 <= ref.ordinal < len(self._values):
             raise RelationError(f"ref {ref!r} is out of range")
         return self._values[ref.ordinal]
+
+    def values_of(self, refs: Iterable[TupleRef]) -> list[Any]:
+        """The values of ``refs``, in order: :meth:`value` over many refs.
+
+        The checks of :meth:`value` run once for the whole batch (every
+        ref names this relation, every ordinal is in range); when the
+        batch fails them, each ref goes through :meth:`value`, so the
+        first bad ref raises the same :class:`RelationError`.
+        """
+        refs = list(refs)
+        if not refs:
+            return []
+        ordinals = list(map(_ordinal_of, refs))
+        if set(map(_relation_of, refs)) == {self.name} and (
+            0 <= min(ordinals) and max(ordinals) < len(self._values)
+        ):
+            return list(map(self._values.__getitem__, ordinals))
+        return [self.value(ref) for ref in refs]
 
     def items(self) -> Iterator[tuple[TupleRef, Any]]:
         """Iterate ``(ref, value)`` pairs in tuple order."""

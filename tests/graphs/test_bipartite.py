@@ -34,6 +34,34 @@ class TestConstruction:
         assert g.side_of("u") == "left"
         assert g.side_of("v") == "right"
 
+    def test_add_edges_matches_add_edge(self):
+        pairs = [("u1", "v2"), ("u2", "v1"), ("u1", "v1"), ("u1", "v2")]
+        bulk = BipartiteGraph(left=["u1", "u2"], right=["v1", "v2"])
+        bulk.add_edges(iter(pairs))
+        single = BipartiteGraph(left=["u1", "u2"], right=["v1", "v2"])
+        for u, v in pairs:
+            single.add_edge(u, v)
+        assert bulk == single
+        assert bulk.num_edges == 3  # the repeated pair is one edge
+        assert [list(bulk.neighbors(v)) for v in bulk] == [
+            list(single.neighbors(v)) for v in single
+        ]
+
+    @pytest.mark.parametrize(
+        "pair", [("v1", "u1"), ("u1", "u2"), ("u1", "w"), ("w", "v1")]
+    )
+    def test_add_edges_rejects_a_vertex_off_its_side(self, pair):
+        g = BipartiteGraph(left=["u1", "u2"], right=["v1"])
+        with pytest.raises(GraphError):
+            g.add_edges([("u1", "v1"), pair])
+        assert g.num_edges == 0  # nothing added
+        assert g.num_vertices == 3  # nothing created
+
+    def test_add_edges_rejects_a_pair_of_the_wrong_length(self):
+        g = BipartiteGraph(left=["u1"], right=["v1"])
+        with pytest.raises(GraphError):
+            g.add_edges([("u1", "v1"), ("u1", "v1", "v1")])
+
     def test_from_edges(self):
         g = from_edges([("u1", "v1"), ("u2", "v1")])
         assert g.num_edges == 2

@@ -299,8 +299,18 @@ def test_band_edge_multisets_match(left, right, width):
     _assert_edge_multisets_match(fast, slow)
 
 
-def test_dedup_pairs_keeps_first_occurrence_order():
-    from repro.joins.join_graph import _dedup_pairs
+def test_add_edges_keeps_a_repeated_pair_once():
+    # Accelerated extraction can surface a candidate pair twice; the
+    # graph's bulk insert is the one place that keeps it as one edge.
+    from repro.graphs.bipartite import BipartiteGraph
 
     pairs = [("a", 1), ("b", 2), ("a", 1), ("c", 3), ("b", 2)]
-    assert list(_dedup_pairs(pairs)) == [("a", 1), ("b", 2), ("c", 3)]
+    once = BipartiteGraph(left="abc", right=[1, 2, 3])
+    once.add_edges(dict.fromkeys(pairs))
+    graph = BipartiteGraph(left="abc", right=[1, 2, 3])
+    graph.add_edges(pairs)
+    assert graph.num_edges == 3
+    assert graph == once
+    assert [list(graph.neighbors(v)) for v in graph] == [
+        list(once.neighbors(v)) for v in once
+    ]

@@ -10,13 +10,11 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.joins.join_graph import clear_join_graph_cache
 
 
 def _reset_collectors() -> None:
     obs.disable()
     obs.reset()
-    clear_join_graph_cache()
 
 
 @pytest.fixture(autouse=True)

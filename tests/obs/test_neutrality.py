@@ -13,7 +13,6 @@ from repro import obs
 from repro.core.solvers.registry import METHODS, solve
 from repro.engine import JoinQuery, execute
 from repro.graphs.generators import random_connected_bipartite
-from repro.joins.join_graph import build_join_graph_cached, clear_join_graph_cache
 from repro.joins.predicates import Equality
 from repro.obs import events, metrics, trace
 from repro.workloads.equijoin import zipf_equijoin_workload
@@ -123,7 +122,6 @@ def test_engine_output_identical_with_and_without_collection(seed):
     query = JoinQuery(left, right, Equality())
 
     def fingerprint():
-        clear_join_graph_cache()
         result = execute(query)
         return (
             sorted(result.rows),
@@ -148,7 +146,6 @@ def _seeded_run(tmp_path, run_id, seed):
     obs.reset()
     obs.enable()
     left, right = zipf_equijoin_workload(12, 12, key_universe=4, seed=seed)
-    clear_join_graph_cache()
     execute(JoinQuery(left, right, Equality()))
     graph = random_connected_bipartite(3, 3, 8, seed=seed)
     solve(graph, "dfs+polish")
@@ -207,7 +204,6 @@ class TestHotPathInstrumentation:
 
     def test_engine_materialize_span_recorded(self):
         left, right = zipf_equijoin_workload(10, 10, key_universe=4, seed=0)
-        clear_join_graph_cache()
         obs.enable()
         execute(JoinQuery(left, right, Equality()))
         names = {s.name for s in trace.spans()}
@@ -216,7 +212,6 @@ class TestHotPathInstrumentation:
     def test_no_spans_recorded_while_disabled(self):
         graph = random_connected_bipartite(3, 3, 8, seed=0)
         left, right = zipf_equijoin_workload(10, 10, key_universe=4, seed=0)
-        clear_join_graph_cache()
         assert not obs.is_enabled()
         solve(graph, "exact")
         execute(JoinQuery(left, right, Equality()))
@@ -271,28 +266,41 @@ class TestSelectivityModes:
         assert metrics.counter("planner.selectivity.exact") == 0
 
 
-class TestJoinGraphCache:
-    def test_repeated_execute_hits_cache(self):
+class TestJoinGraphRetention:
+    """``execute`` builds its trace graph once per call and keeps no
+    copy: nothing process-wide outlives the result."""
+
+    def test_dropped_result_frees_its_trace_graph(self, monkeypatch):
+        import gc
+        import weakref
+
+        from repro.joins import join_graph
+
+        built = []
+        build = join_graph.build_join_graph
+
+        def recording_build(*args, **kwargs):
+            graph = build(*args, **kwargs)
+            built.append(weakref.ref(graph))
+            return graph
+
+        monkeypatch.setattr(join_graph, "build_join_graph", recording_build)
+        left, right = zipf_equijoin_workload(10, 10, key_universe=4, seed=0)
+        result = execute(JoinQuery(left, right, Equality()))
+        assert result.trace is not None
+        assert len(built) == 1
+        del result
+        gc.collect()
+        assert built[0]() is None
+
+    def test_repeated_execute_gives_equal_traces(self):
         left, right = zipf_equijoin_workload(10, 10, key_universe=4, seed=0)
         query = JoinQuery(left, right, Equality())
-        obs.enable()
-        execute(query)
-        execute(query)
-        assert metrics.counter("joins.join_graph_cache.hits") >= 1
-
-    def test_cached_graph_is_same_object(self):
-        left, right = zipf_equijoin_workload(8, 8, key_universe=4, seed=0)
-        first = build_join_graph_cached(left, right, Equality())
-        second = build_join_graph_cached(left, right, Equality())
-        assert first is second
-
-    def test_mutating_relation_invalidates(self):
-        left, right = zipf_equijoin_workload(8, 8, key_universe=4, seed=0)
-        first = build_join_graph_cached(left, right, Equality())
-        left.append(left.values[0])
-        second = build_join_graph_cached(left, right, Equality())
-        assert first is not second
-        assert second.num_edges >= first.num_edges
+        first, second = execute(query), execute(query)
+        assert first.trace is not None
+        assert first.trace == second.trace
+        assert first.pairs == second.pairs
+        assert first.rows == second.rows
 
 
 class TestParallelNeutrality:

@@ -75,6 +75,24 @@ class TestRelation:
         with pytest.raises(RelationError):
             r.value(TupleRef("R", 5))
 
+    def test_values_of_matches_value_in_order(self):
+        r = Relation("R", [10, 20, 30])
+        refs = [TupleRef("R", 2), TupleRef("R", 0), TupleRef("R", 2)]
+        assert r.values_of(refs) == [r.value(ref) for ref in refs] == [30, 10, 30]
+        assert r.values_of(iter(refs)) == [30, 10, 30]
+        assert r.values_of([]) == []
+
+    @pytest.mark.parametrize(
+        "bad", [TupleRef("S", 0), TupleRef("R", 3), TupleRef("R", -1)]
+    )
+    def test_values_of_raises_like_value(self, bad):
+        r = Relation("R", [10, 20, 30])
+        with pytest.raises(RelationError) as from_value:
+            r.value(bad)
+        with pytest.raises(RelationError) as from_batch:
+            r.values_of([TupleRef("R", 1), bad, TupleRef("R", 0)])
+        assert str(from_batch.value) == str(from_value.value)
+
     def test_append_returns_ref(self):
         r = Relation("R", [1])
         ref = r.append(9)
